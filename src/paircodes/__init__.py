@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 
 from .errors import PairCodeError
 from .galois import (
-    ChainElement,
     ChainRing,
     Field,
-    FieldElement,
     binomial_irreducible,
-    element_order,
     irreducible_binomial_constants,
 )
 from .quotient import (

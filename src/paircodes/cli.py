@@ -35,7 +35,7 @@ from .codes import (
     spec_to_text,
 )
 from .errors import BudgetExceeded, PairCodeError, VerificationMismatch
-from .galois import Field, irreducible_binomial_constants
+from .galois import Field, irreducible_binomial_constants, parse_int
 from .pairmetric import min_distance_brute
 from .quotient import QuotientRing
 from .theory import (
@@ -49,6 +49,13 @@ EXIT_OK = 0
 EXIT_REFUSED = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
+
+# First match wins, so subclasses come before PairCodeError.
+EXIT_CODES = (
+    (VerificationMismatch, EXIT_MISMATCH),
+    (BudgetExceeded, EXIT_BUDGET),
+    (PairCodeError, EXIT_REFUSED),
+)
 
 
 def _add_field_args(sp: argparse.ArgumentParser) -> None:
@@ -73,7 +80,7 @@ def _add_ring_args(sp: argparse.ArgumentParser) -> None:
 def _field_from(args) -> Field:
     modulus = None
     if args.modulus is not None:
-        modulus = [int(c) for c in args.modulus.split(",")]
+        modulus = [parse_int(c) for c in args.modulus.split(",")]
     return Field(args.p, args.m, modulus)
 
 
@@ -99,8 +106,10 @@ def _ring_config(ring: QuotientRing) -> dict:
     }
 
 
-def _emit(payload: dict, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True)
+def _emit(config: dict, results: list, out) -> None:
+    """Write the JSON envelope shared by every command."""
+    json.dump({"config": config, "results": results, "version": __version__},
+              out, indent=2, sort_keys=True)
     out.write("\n")
 
 
@@ -111,16 +120,12 @@ def cmd_field_info(args, out) -> int:
                  if e == field.q - 1]
     lams = [field.format_element(a)
             for a in irreducible_binomial_constants(field, args.n)]
-    _emit({
-        "config": {"p": field.p, "m": field.m, "n": args.n},
-        "results": [{
-            "q": field.q,
-            "modulus": list(field.modulus),
-            "primitive_elements": primitive,
-            "irreducible_binomial_constants": lams,
-        }],
-        "version": __version__,
-    }, out)
+    _emit({"p": field.p, "m": field.m, "n": args.n}, [{
+        "q": field.q,
+        "modulus": list(field.modulus),
+        "primitive_elements": primitive,
+        "irreducible_binomial_constants": lams,
+    }], out)
     return EXIT_OK
 
 
@@ -130,15 +135,9 @@ def cmd_check_binomial(args, out) -> int:
     field = _field_from(args)
     lam = field.parse_element(args.alpha0)
     ok = binomial_irreducible(field, args.n, lam)
-    _emit({
-        "config": {"p": field.p, "m": field.m, "n": args.n,
-                   "alpha0": field.format_element(lam)},
-        "results": [{
-            "irreducible": ok,
-            "order": field.order(lam),
-        }],
-        "version": __version__,
-    }, out)
+    _emit({"p": field.p, "m": field.m, "n": args.n,
+           "alpha0": field.format_element(lam)},
+          [{"irreducible": ok, "order": field.order(lam)}], out)
     return EXIT_OK
 
 
@@ -146,18 +145,14 @@ def cmd_build_code(args, out) -> int:
     ring = _ring_from(args)
     spec = spec_from_text(args.spec, ring)
     code = build_code(ring, spec)
-    _emit({
-        "config": _ring_config(ring),
-        "results": [{
-            "spec": spec_to_text(spec),
-            "generator": spec_generator_text(ring, spec),
-            "generator_polys": [repr(g) for g in generators(ring, spec)],
-            "dim_p": code.dim_p,
-            "log_size": log_size(ring, spec),
-            "size": code.size,
-        }],
-        "version": __version__,
-    }, out)
+    _emit(_ring_config(ring), [{
+        "spec": spec_to_text(spec),
+        "generator": spec_generator_text(ring, spec),
+        "generator_polys": [repr(g) for g in generators(ring, spec)],
+        "dim_p": code.dim_p,
+        "log_size": log_size(ring, spec),
+        "size": code.size,
+    }], out)
     return EXIT_OK
 
 
@@ -172,7 +167,6 @@ def cmd_distance(args, out) -> int:
         if not ring.is_chain:
             _, branch = min_pair_distance_field(ring.n, ring.p, ring.s, spec.i)
             result["formula"]["branch"] = branch.rule
-    exit_code = EXIT_OK
     if args.method in ("brute", "both"):
         code = build_code(ring, spec)
         rep = min_distance_brute(code, "pair", args.budget)
@@ -186,16 +180,11 @@ def cmd_distance(args, out) -> int:
         if args.method == "both":
             result["match"] = (rep.d_sp == formula)
             if not result["match"]:
-                _emit({"config": _ring_config(ring), "results": [result],
-                       "version": __version__}, out)
+                _emit(_ring_config(ring), [result], out)
                 raise VerificationMismatch(
                     f"closed form {formula} != enumerated {rep.d_sp}")
-    _emit({
-        "config": _ring_config(ring),
-        "results": [result],
-        "version": __version__,
-    }, out)
-    return exit_code
+    _emit(_ring_config(ring), [result], out)
+    return EXIT_OK
 
 
 def cmd_scan(args, out) -> int:
@@ -204,19 +193,10 @@ def cmd_scan(args, out) -> int:
     if args.target == "consistency":
         report = consistency_scan(ring, budget=args.budget,
                                   unit_samples=args.unit_samples, rng=rng)
-        _emit({
-            "config": _ring_config(ring),
-            "results": [report.to_dict()],
-            "version": __version__,
-        }, out)
+        _emit(_ring_config(ring), [report.to_dict()], out)
         return EXIT_OK if report.ok else EXIT_MISMATCH
-    verdicts = mds_classify(ring, budget=None,
-                            unit_samples=args.unit_samples, rng=rng)
-    _emit({
-        "config": _ring_config(ring),
-        "results": [v.to_dict() for v in verdicts],
-        "version": __version__,
-    }, out)
+    verdicts = mds_classify(ring, unit_samples=args.unit_samples, rng=rng)
+    _emit(_ring_config(ring), [v.to_dict() for v in verdicts], out)
     return EXIT_OK
 
 
@@ -224,8 +204,7 @@ def _mds_rows(ring: QuotientRing, rng: random.Random,
               unit_samples: int) -> list[dict]:
     rows = []
     seen = set()
-    for v in mds_classify(ring, budget=None, unit_samples=unit_samples,
-                          rng=rng):
+    for v in mds_classify(ring, unit_samples=unit_samples, rng=rng):
         if not v.is_mds or v.trivial:
             continue
         gen = spec_generator_text(ring, v.spec)
@@ -247,11 +226,7 @@ def cmd_tables(args, out) -> int:
     rng = random.Random(args.seed)
     rows = _mds_rows(ring, rng, args.unit_samples)
     if args.format == "json":
-        _emit({
-            "config": _ring_config(ring),
-            "results": rows,
-            "version": __version__,
-        }, out)
+        _emit(_ring_config(ring), rows, out)
         return EXIT_OK
     if args.format == "csv":
         w = csv.DictWriter(out, fieldnames=["generator", "size",
@@ -334,18 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         out = opened
     try:
         return args.fn(args, out)
-    except VerificationMismatch as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return EXIT_MISMATCH
-    except BudgetExceeded as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return EXIT_BUDGET
     except PairCodeError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
-        return EXIT_REFUSED
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     finally:
         if opened is not None:
             opened.close()

@@ -32,13 +32,22 @@ from .errors import (
     BetaMismatch,
     ConstraintViolation,
     Exhausted,
+    InvalidValue,
     NotChainCode,
     NotUnitNorZero,
     RingMismatch,
+    VerificationMismatch,
 )
+from .galois import parse_int
 from .quotient import QPoly, QuotientRing, binomial_power, consta_shift, qmul
 
 DEFAULT_BUDGET = 1 << 21
+
+
+def check_budget(budget: int) -> None:
+    """Refuse a word budget that would allow no codeword at all."""
+    if budget < 1:
+        raise InvalidValue(f"the budget must be at least 1, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -302,21 +311,6 @@ class ConstacyclicCode:
     def same_rowspace(self, other: "ConstacyclicCode") -> bool:
         return (self.dim_p == other.dim_p and self.contains_code(other))
 
-    # -- enumeration ------------------------------------------------------------
-
-    def codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[QPoly]:
-        return enumerate_codewords(self, budget)
-
-    def sample_coords(self, count: int, rng: random.Random) -> np.ndarray:
-        """Rows of GF(p) coordinates for `count` random codewords."""
-        p = self.ring.p
-        if self.dim_p == 0:
-            return np.zeros((count, self.ncols), dtype=np.int64)
-        digits = np.array(
-            [[rng.randrange(p) for _ in range(self.dim_p)]
-             for _ in range(count)], dtype=np.int64)
-        return (digits @ self.basis) % p
-
     def __repr__(self) -> str:
         return (f"ConstacyclicCode(dim_p={self.dim_p}, "
                 f"spec={self.spec!r}, ring={self.ring!r})")
@@ -350,8 +344,10 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     """Materialize the ideal described by `spec` as a row-reduced basis."""
     raw = ideal_code(ring, generators(ring, spec))
     code = ConstacyclicCode(ring, spec, raw.basis, raw.pivots)
-    assert code.dim_p == log_size(ring, spec), \
-        f"rank {code.dim_p} != classified size exponent {log_size(ring, spec)}"
+    want = log_size(ring, spec)
+    if code.dim_p != want:
+        raise VerificationMismatch(
+            f"rank {code.dim_p} != classified size exponent {want}")
     return code
 
 
@@ -498,7 +494,7 @@ def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
     def intval(k: str) -> int:
         if k not in fields:
             raise ConstraintViolation(f"missing {k}= in {text!r}")
-        return int(fields[k])
+        return parse_int(fields[k])
 
     def bval() -> QPoly:
         if "b" not in fields:

@@ -62,6 +62,10 @@ class ZeroElement(PairCodeError):
     """A zero element was given where a nonzero one is required."""
 
 
+class InvalidValue(PairCodeError):
+    """A number is out of range, or its text is not an integer."""
+
+
 # --- arithmetic -----------------------------------------------------------
 
 class DivisionByZero(PairCodeError):
@@ -70,10 +74,6 @@ class DivisionByZero(PairCodeError):
 
 class NonUnit(PairCodeError):
     """Inversion of a non-unit in the two-component ring."""
-
-
-class FieldMismatch(PairCodeError):
-    """Two elements from different fields were combined."""
 
 
 class RingMismatch(PairCodeError):

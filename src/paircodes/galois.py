@@ -4,10 +4,10 @@ Field elements are encoded as plain integers in ``[0, p^m)``: the integer
 whose base-p digits, least significant first, are the coefficients of the
 residue polynomial (constant term first).  An element of the two-component
 ring ``a + u*b`` (with u^2 = 0) packs its halves as ``a + q*b`` where
-``q = p^m``.  Keeping elements as ints makes the hot loops cheap and lets
-small fields run entirely off precomputed tables; the ``FieldElement`` /
-``ChainElement`` wrappers add operator syntax and cross-ring safety checks
-on top.
+``q = p^m``.  Ints are the only element API: they keep the hot loops cheap
+and let small fields run entirely off precomputed tables.  Values that come
+from outside (text, moduli, constants) are range-checked on the way in and
+never reduced mod p.
 
 Text forms: a field element prints as its digit list, constant first
 ("2,1" is 2 + y in GF(9)); a two-component element prints as "a|b".
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
-    FieldMismatch,
+    InvalidValue,
     NonUnit,
     NotPrime,
     ReducibleModulus,
@@ -45,6 +45,14 @@ def _is_prime(x: int) -> bool:
             return False
         d += 2
     return True
+
+
+def parse_int(text: str) -> int:
+    """The integer written in `text`; any other text is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidValue(f"not an integer: {text!r}") from None
 
 
 def prime_factors(x: int) -> list[int]:
@@ -166,7 +174,10 @@ class Field:
         if modulus is None:
             modulus = _smallest_irreducible(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            if any(not 0 <= c < p for c in modulus):
+                raise InvalidValue(
+                    f"modulus digits must lie in [0, {p}), got {modulus}")
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {m}, got {modulus}")
@@ -300,30 +311,27 @@ class Field:
     def scalar_mul(self, c: int, a: int) -> int:
         return self.mul(c, a)
 
-    # -- text, wrapping, misc -------------------------------------------------
+    # -- range checks and text ------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
+    def check_element(self, a: int) -> int:
+        """`a` itself, if it encodes an element of this field."""
+        if not isinstance(a, int) or not 0 <= a < self.q:
+            raise InvalidValue(f"{a!r} does not encode an element of {self!r}")
+        return a
 
-    def elem(self, x) -> "FieldElement":
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatch(f"{x!r} is not an element of {self!r}")
-            return x
-        if isinstance(x, str):
-            return FieldElement(self, self.parse_element(x))
-        if isinstance(x, int):
-            if not 0 <= x < self.q:
-                raise ValueError(f"encoded value {x} out of range for {self!r}")
-            return FieldElement(self, x)
-        return FieldElement(self, self.from_coords(x))
+    def _parse_digits(self, parts: Sequence[str]) -> int:
+        digits = [parse_int(s) for s in parts]
+        for c in digits:
+            if not 0 <= c < self.p:
+                raise InvalidValue(
+                    f"digit {c} outside [0, {self.p}) for {self!r}")
+        return self.from_coords(digits)
 
     def format_element(self, a: int) -> str:
         return ",".join(str(c) for c in self.coords(a))
 
     def parse_element(self, text: str) -> int:
-        parts = [s.strip() for s in text.split(",")]
-        return self.from_coords(int(s) for s in parts)
+        return self._parse_digits(text.split(","))
 
     def format_coeff(self, a: int) -> str:
         """Comma-free rendering for use inside polynomial strings."""
@@ -332,8 +340,7 @@ class Field:
         return ".".join(str(c) for c in self.coords(a))
 
     def parse_coeff(self, text: str) -> int:
-        parts = text.split(".")
-        return self.from_coords(int(s) for s in parts)
+        return self._parse_digits(text.split("."))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field) and self.p == other.p
@@ -344,95 +351,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """Operator-friendly wrapper around an encoded field element."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: Field, val: int):
-        self.field = field
-        self.val = val
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"cannot combine elements of {self.field!r} and {other.field!r}")
-            return other.val
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.val, self.field.inv(v)))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.val))
-
-    def order(self) -> int:
-        return self.field.order(self.val)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coords(self.val)
-
-    def is_zero(self) -> bool:
-        return self.val == 0
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.val))
-
-    def __repr__(self) -> str:
-        return self.field.format_element(self.val)
 
 
 class ChainRing:
@@ -528,26 +446,7 @@ class ChainRing:
     def scalar_mul(self, c: int, e: int) -> int:
         return self.mul(c, e)
 
-    # -- text, wrapping ------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def elem(self, x) -> "ChainElement":
-        if isinstance(x, ChainElement):
-            if x.ring != self:
-                raise FieldMismatch(f"{x!r} is not an element of {self!r}")
-            return x
-        if isinstance(x, str):
-            return ChainElement(self, self.parse_element(x))
-        if isinstance(x, int):
-            if not 0 <= x < self.size:
-                raise ValueError(f"encoded value {x} out of range for {self!r}")
-            return ChainElement(self, x)
-        a, b = x
-        fa = self.field.elem(a).val if not isinstance(a, int) else a
-        fb = self.field.elem(b).val if not isinstance(b, int) else b
-        return ChainElement(self, self.make(fa, fb))
+    # -- text ------------------------------------------------------------------
 
     def format_element(self, e: int) -> str:
         f = self.field
@@ -589,89 +488,7 @@ class ChainRing:
         return f"GF({self.q})+uGF({self.q})"
 
 
-class ChainElement:
-    """Operator-friendly wrapper around an encoded two-component element."""
-
-    __slots__ = ("ring", "val")
-
-    def __init__(self, ring: ChainRing, val: int):
-        self.ring = ring
-        self.val = val
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ChainElement):
-            if other.ring != self.ring:
-                raise FieldMismatch(
-                    f"cannot combine elements of {self.ring!r} and {other.ring!r}")
-            return other.val
-        if isinstance(other, int):
-            return other % self.ring.size
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ChainElement(self.ring, self.ring.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ChainElement(self.ring, self.ring.sub(self.val, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ChainElement(self.ring, self.ring.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ChainElement(self.ring, self.ring.neg(self.val))
-
-    def __pow__(self, e: int):
-        return ChainElement(self.ring, self.ring.pow(self.val, e))
-
-    def inverse(self) -> "ChainElement":
-        return ChainElement(self.ring, self.ring.inv(self.val))
-
-    @property
-    def a(self) -> FieldElement:
-        return FieldElement(self.ring.field, self.ring.a_of(self.val))
-
-    @property
-    def b(self) -> FieldElement:
-        return FieldElement(self.ring.field, self.ring.b_of(self.val))
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.val)
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ChainElement):
-            return self.ring == other.ring and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.val))
-
-    def __repr__(self) -> str:
-        return self.ring.format_element(self.val)
-
-
 # --- binomial irreducibility ------------------------------------------------
-
-def element_order(x: FieldElement) -> int:
-    return x.order()
-
 
 def binomial_irreducible(field: Field, n: int, lam) -> bool:
     """Is x^n - lam irreducible over the field?
@@ -681,11 +498,11 @@ def binomial_irreducible(field: Field, n: int, lam) -> bool:
     q = 1 (mod 4) whenever 4 divides n.  Degree-1 binomials (n = 1) are
     always irreducible.
     """
-    lam = field.elem(lam).val
+    field.check_element(lam)
     if lam == 0:
         raise ZeroElement("x^n - 0 is never irreducible")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidValue(f"n must be positive, got {n}")
     if n == 1:
         return True
     e = field.order(lam)

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, ConstacyclicCode
-from .errors import DegenerateInput, LengthTooShort
+from .codes import DEFAULT_BUDGET, ConstacyclicCode, check_budget
+from .errors import DegenerateInput, LengthTooShort, VerificationMismatch
 from .quotient import QPoly
 
 
@@ -93,7 +93,9 @@ def block_decomposition(x, y) -> tuple[int, int, int]:
             "block decomposition needs 0 < d_H < N")
     blocks = sum(1 for i in range(n) if diff[i] and not diff[i - 1])
     d_sp = pair_distance(xs, ys)
-    assert d_sp == d_h + blocks
+    if d_sp != d_h + blocks:
+        raise VerificationMismatch(
+            f"pair distance {d_sp} != {d_h} + {blocks} blocks")
     return d_h, blocks, d_sp
 
 
@@ -123,9 +125,20 @@ class DistanceReport:
         }
 
 
-def _digit_block(start: int, stop: int, dim: int, p: int) -> np.ndarray:
+def _digit_width(stop: int, dim: int, p: int) -> int:
+    """How many low base-p digits (at most `dim`) can be nonzero below stop.
+
+    Every radix p^t below that width is below stop, so none overflows int64.
+    """
+    width = 0
+    while width < dim and p ** width < stop:
+        width += 1
+    return width
+
+
+def _digit_block(start: int, stop: int, width: int, p: int) -> np.ndarray:
     counters = np.arange(start, stop, dtype=np.int64)
-    radix = p ** np.arange(dim, dtype=np.int64)
+    radix = p ** np.arange(width, dtype=np.int64)
     return (counters[:, None] // radix[None, :]) % p
 
 
@@ -137,6 +150,7 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET,
     index of the first word attaining each, and whether the pass was
     exhaustive.  The zero code yields minima of None.
     """
+    check_budget(budget)
     ring = code.ring
     p, N = ring.p, ring.N
     sdim = ring.base.gfp_dim
@@ -150,11 +164,12 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET,
         out["exhaustive"] = True
         out["scanned"] = 0
         return out
-    basis_f = code.basis.astype(np.float64)
+    width = _digit_width(last + 1, code.dim_p, p)
+    basis_f = code.basis[:width].astype(np.float64)
     start = 1
     while start <= last:
         stop = min(start + chunk, last + 1)
-        digits = _digit_block(start, stop, code.dim_p, p).astype(np.float64)
+        digits = _digit_block(start, stop, width, p).astype(np.float64)
         words = digits @ basis_f
         words %= p
         mask = words.reshape(stop - start, N, sdim).any(axis=2)
@@ -172,8 +187,10 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET,
 
 
 def _word_at(code: ConstacyclicCode, counter: int) -> QPoly:
-    digits = _digit_block(counter, counter + 1, code.dim_p, code.ring.p)
-    vec = (digits @ code.basis)[0] % code.ring.p
+    p = code.ring.p
+    width = _digit_width(counter + 1, code.dim_p, p)
+    digits = _digit_block(counter, counter + 1, width, p)
+    vec = (digits @ code.basis[:width])[0] % p
     return code.coords_to_word(vec)
 
 
@@ -188,6 +205,7 @@ def min_distance_brute(code: ConstacyclicCode, metric: str = "pair",
     """
     if metric not in ("pair", "hamming"):
         raise ValueError(f"unknown metric {metric!r}")
+    check_budget(budget)
     if code.dim_p == 0:
         return DistanceReport(d_sp=0, d_H=0, L=None,
                               method="exhaustive", witness=None)

@@ -27,6 +27,7 @@ from typing import Iterable, Union
 from .errors import (
     ConstructionRefused,
     ExponentOutOfRange,
+    InvalidValue,
     RingMismatch,
     ZeroPolynomial,
 )
@@ -46,7 +47,6 @@ class QuotientRing:
         if math.gcd(n, p) != 1:
             raise ConstructionRefused(
                 f"n = {n} must be coprime to the characteristic {p}")
-        alpha0 = field.elem(alpha0).val
         if not binomial_irreducible(field, n, alpha0):
             raise ConstructionRefused(
                 f"x^{n} - ({field.format_element(alpha0)}) is reducible "
@@ -63,7 +63,7 @@ class QuotientRing:
             self.base: CoefficientRing = field
             self.lam = self.alpha
         else:
-            self.beta = field.elem(beta).val
+            self.beta = field.check_element(beta)
             self.base = ChainRing(field)
             self.lam = self.base.make(self.alpha, self.beta)
         self._binom_squares: dict[int, QPoly] = {}
@@ -97,7 +97,7 @@ class QuotientRing:
         size = self.base.size if self.is_chain else self.field.q
         for c in cs:
             if not 0 <= c < size:
-                raise ValueError(f"coefficient {c} out of range")
+                raise InvalidValue(f"coefficient {c} out of range")
         return QPoly(self, tuple(cs))
 
     def zero(self) -> "QPoly":
@@ -278,13 +278,13 @@ def binomial_power(ring: QuotientRing, i: int) -> QPoly:
         if 2 * e not in squares:
             squares[2 * e] = qmul(squares[e], squares[e])
         e *= 2
-    result = None
-    bit = 1
+    bit = i & -i
+    result = squares[bit]
+    bit <<= 1
     while bit <= i:
         if i & bit:
-            result = squares[bit] if result is None else qmul(result, squares[bit])
+            result = qmul(result, squares[bit])
         bit <<= 1
-    assert result is not None
     return result
 
 

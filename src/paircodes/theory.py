@@ -32,6 +32,7 @@ from .codes import (
     Type2,
     Type3,
     build_code,
+    check_budget,
     log_size,
     random_unit,
     spec_to_text,
@@ -255,30 +256,15 @@ def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
     return out
 
 
-def mds_classify(ring: QuotientRing, budget: int | None = None,
-                 unit_samples: int = 3,
+def mds_classify(ring: QuotientRing, unit_samples: int = 3,
                  rng: random.Random | None = None) -> list[MdsVerdict]:
     """Closed-form MDS verdict for every admissible code of the ring.
 
-    When `budget` is given, every code small enough is additionally checked
-    against the exhaustive oracle; a disagreement raises
-    :class:`~paircodes.errors.VerificationMismatch`.
+    Nothing is enumerated here; :func:`consistency_scan` checks the closed
+    forms against the exhaustive oracle.
     """
-    from .errors import VerificationMismatch
-
-    verdicts = []
-    for spec in all_code_specs(ring, unit_samples, rng):
-        v = mds_verdict(ring, spec)
-        if budget is not None:
-            code = build_code(ring, spec)
-            if code.size <= budget and code.dim_p > 0:
-                rep = min_distance_brute(code, "pair", budget)
-                if rep.d_sp != v.d_sp:
-                    raise VerificationMismatch(
-                        f"{spec_to_text(spec)}: closed form {v.d_sp}, "
-                        f"enumeration {rep.d_sp} (witness {rep.witness!r})")
-        verdicts.append(v)
-    return verdicts
+    return [mds_verdict(ring, spec)
+            for spec in all_code_specs(ring, unit_samples, rng)]
 
 
 @dataclass
@@ -354,6 +340,7 @@ def consistency_scan(ring: QuotientRing,
     closed form exists) the enumerated minimum Hamming distance must match
     too.  Codes over budget are counted, not checked.
     """
+    check_budget(budget)
     report = ScanReport()
     for spec in all_code_specs(ring, unit_samples, rng):
         code = build_code(ring, spec)

@@ -196,6 +196,34 @@ def test_refusals_exit_2(argv, errtype, capsys):
     assert json.loads(err)["error"]["type"] == errtype
 
 
+def _ring(alpha0="2", *extra):
+    return ["--p", "3", "--s", "1", "--n", "2", "--alpha0", alpha0, *extra]
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", *FIELD_RING, "--spec", "field-power:i=x"],
+    ["distance", *FIELD_RING, "--spec", "field-power:i=1.5"],
+    ["distance", *FIELD_RING, "--spec", "field-power:i="],
+    ["distance", *_ring("abc"), "--spec", "field-power:i=1"],
+    ["distance", *_ring("0x1"), "--spec", "field-power:i=1"],
+    ["distance", *_ring("7"), "--spec", "field-power:i=1"],
+    ["distance", *_ring("-2"), "--spec", "field-power:i=1"],
+    ["build-code", *_ring("2", "--beta", "abc"), "--spec", "chain:i=1"],
+    ["build-code", *_ring("2", "--beta", "3"), "--spec", "chain:i=1"],
+    ["build-code", *CHAIN_B0, "--spec", "type2:j=7,k=1,b=4"],
+    ["field-info", "--p", "2", "--modulus", "3,1"],
+    ["field-info", "--p", "2", "--modulus", "1,abc"],
+    ["field-info", "--p", "3", "--n", "0"],
+    *[["distance", *FIELD_RING, "--spec", "field-power:i=1",
+       "--method", "brute", "--budget", b] for b in ("0", "-1", "-4096")],
+])
+def test_malformed_input_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidValue"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "paircodes.cli", "--version"],

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from paircodes import codes
 from paircodes.codes import (
     ChainPrincipal,
     ConstacyclicCode,
@@ -33,6 +34,7 @@ from paircodes.errors import (
     NotChainCode,
     NotUnitNorZero,
     RingMismatch,
+    VerificationMismatch,
 )
 from paircodes.galois import Field
 from paircodes.quotient import QuotientRing, binomial_power, consta_shift, qmul
@@ -61,6 +63,13 @@ def test_dimension_matches_classified_size_everywhere():
         for spec in all_code_specs(ring, unit_samples=2, rng=rng):
             code = build_code(ring, spec)
             assert code.dim_p == log_size(ring, spec), spec_to_text(spec)
+
+
+def test_rank_mismatch_raises(monkeypatch):
+    ring = QuotientRing(F3, 2, 1, 2)
+    monkeypatch.setattr(codes, "log_size", lambda ring, spec: 99)
+    with pytest.raises(VerificationMismatch):
+        build_code(ring, FieldPower(1))
 
 
 def test_field_codes_are_nested():

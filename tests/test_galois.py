@@ -5,7 +5,7 @@ import pytest
 from paircodes.errors import (
     DegreeMismatch,
     DivisionByZero,
-    FieldMismatch,
+    InvalidValue,
     NonUnit,
     NotPrime,
     ReducibleModulus,
@@ -15,7 +15,6 @@ from paircodes.galois import (
     ChainRing,
     Field,
     binomial_irreducible,
-    element_order,
     irreducible_binomial_constants,
 )
 
@@ -101,6 +100,10 @@ def test_modulus_validation():
     alt = Field(3, 2, (2, 1, 1))                   # x^2 + x + 2
     assert alt.modulus == (2, 1, 1)
     assert alt != Field(3, 2)
+    with pytest.raises(InvalidValue):
+        Field(2, 1, (3, 1))                        # digit 3 is not in GF(2)
+    with pytest.raises(InvalidValue):
+        Field(3, 1, (-1, 1))
 
 
 def test_field_axioms_random():
@@ -146,41 +149,25 @@ def test_element_orders():
     assert f5.order(2) == 4
     assert f5.order(4) == 2
     f9 = Field(3, 2)
-    y = f9.elem((0, 1))
-    assert element_order(y) == 4                   # y^2 = -1
+    y = f9.from_coords((0, 1))
+    assert f9.order(y) == 4                        # y^2 = -1
     prim = [a for a in range(1, 9) if f9.order(a) == 8]
     assert len(prim) == 4                          # phi(8)
     with pytest.raises(ZeroElement):
         f3.order(0)
-
-
-def test_field_element_wrapper():
-    f9 = Field(3, 2)
-    a = f9.elem((2, 1))
-    assert repr(a) == "2,1"
-    assert f9.elem("2,1") == a
-    assert a + (-a) == f9.elem(0)
-    assert a * a.inverse() == f9.elem(1)
-    assert (a / a) == f9.elem(1)
     with pytest.raises(DivisionByZero):
-        f9.elem(0).inverse()
-    other = Field(5, 1)
-    with pytest.raises(FieldMismatch):
-        a + other.elem(2)
-    with pytest.raises(FieldMismatch):
-        f9.elem(Field(3, 2, (2, 1, 1)).elem(1))
+        f9.inv(0)
 
 
 def test_chain_ring_arithmetic():
     f3 = Field(3, 1)
     R = ChainRing(f3)
-    u = R.elem(R.u)
-    assert u * u == R.elem(0)
-    e = R.elem((1, 1))                             # 1 + u
-    assert e.inverse() == R.elem((1, 2))           # 1 - u
-    assert e * e.inverse() == R.elem(1)
+    assert R.mul(R.u, R.u) == 0
+    e = R.make(1, 1)                               # 1 + u
+    assert R.inv(e) == R.make(1, 2)                # 1 - u
+    assert R.mul(e, R.inv(e)) == 1
     with pytest.raises(NonUnit):
-        u.inverse()
+        R.inv(R.u)
     assert not R.is_unit(R.u)
     assert R.is_unit(R.make(2, 1))
     rng = random.Random(3)
@@ -195,17 +182,23 @@ def test_chain_ring_arithmetic():
 
 
 def test_chain_ring_text_forms():
-    R = ChainRing(Field(3, 2))
-    e = R.elem(((2, 1), (0, 1)))
-    assert R.format_element(e.val) == "2,1|0,1"
-    assert R.parse_element("2,1|0,1") == e.val
-    assert R.parse_coeff("2.1+u0.1") == e.val
-    assert R.format_coeff(e.val) == "2.1+u0.1"
+    f9 = Field(3, 2)
+    R = ChainRing(f9)
+    e = R.make(f9.from_coords((2, 1)), f9.from_coords((0, 1)))
+    assert R.format_element(e) == "2,1|0,1"
+    assert R.parse_element("2,1|0,1") == e
+    assert R.parse_coeff("2.1+u0.1") == e
+    assert R.format_coeff(e) == "2.1+u0.1"
     assert R.parse_coeff("u1") == R.make(0, 1)
     assert R.format_coeff(R.make(2, 0)) == "2.0"
     R1 = ChainRing(Field(3, 1))
     assert R1.parse_coeff("2+u1") == R1.make(2, 1)
     assert R1.format_coeff(R1.make(2, 1)) == "2+u1"
+    for bad in ("3,1", "-1", "x", "1.5", "", "0x1"):  # never reduced mod p
+        with pytest.raises(InvalidValue):
+            f9.parse_element(bad)
+    with pytest.raises(InvalidValue):
+        R.parse_coeff("2.1+u0.3")
 
 
 def test_element_text_roundtrip_random():

@@ -1,9 +1,16 @@
 import random
+import warnings
 
 import pytest
 
-from paircodes.codes import FieldPower, Type1, build_code
-from paircodes.errors import DegenerateInput, LengthTooShort
+from paircodes.codes import FieldPower, Type1, build_code, enumerate_codewords
+from paircodes import pairmetric
+from paircodes.errors import (
+    DegenerateInput,
+    InvalidValue,
+    LengthTooShort,
+    VerificationMismatch,
+)
 from paircodes.galois import Field
 from paircodes.pairmetric import (
     block_decomposition,
@@ -16,6 +23,7 @@ from paircodes.pairmetric import (
     scan_minima,
 )
 from paircodes.quotient import QuotientRing
+from paircodes.theory import consistency_scan
 
 
 def test_pair_vector_wraps_around():
@@ -52,6 +60,12 @@ def test_block_decomposition_rejects_degenerate():
         block_decomposition((1, 1, 1), (2, 2, 2))
     with pytest.raises(LengthTooShort):
         block_decomposition((1, 2), (1, 2, 3))
+
+
+def test_block_decomposition_checks_its_identity(monkeypatch):
+    monkeypatch.setattr(pairmetric, "pair_distance", lambda x, y: 0)
+    with pytest.raises(VerificationMismatch):
+        block_decomposition((1, 1, 0, 0, 1), (0,) * 5)
 
 
 def test_pair_distance_identity_random():
@@ -108,6 +122,32 @@ def test_min_distance_budget_degrades_to_upper_bound():
     assert bounded.d_sp >= exact.d_sp
 
 
+def test_upper_bound_at_high_dimension_is_a_real_codeword():
+    # dim 127 over GF(2): radices p^t for t >= 63 do not fit in int64.
+    ring = QuotientRing(Field(2, 1), 1, 7, 1)
+    code = build_code(ring, FieldPower(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = min_distance_brute(code, budget=1 << 12)
+    assert rep.method == "upper-bound"
+    assert code.contains(rep.witness)
+    assert pair_weight(rep.witness) == rep.d_sp
+
+
+@pytest.mark.parametrize("budget", [0, -1, -4096])
+def test_budget_below_one_is_refused(budget):
+    ring = QuotientRing(Field(3, 1), 2, 1, 2)
+    code = build_code(ring, FieldPower(1))
+    with pytest.raises(InvalidValue):
+        scan_minima(code, budget)
+    with pytest.raises(InvalidValue):
+        min_distance_brute(code, budget=budget)
+    with pytest.raises(InvalidValue):
+        min_distance_brute(build_code(ring, FieldPower(3)), budget=budget)
+    with pytest.raises(InvalidValue):
+        consistency_scan(ring, budget=budget)
+
+
 def test_scan_matches_pure_python_enumeration():
     for ring, spec in [
         (QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1)),
@@ -116,7 +156,8 @@ def test_scan_matches_pure_python_enumeration():
         (QuotientRing(Field(3, 2), 1, 1, 5), FieldPower(1)),
     ]:
         code = build_code(ring, spec)
-        words = [w for w in code.codewords(budget=1 << 14) if not w.is_zero()]
+        words = [w for w in enumerate_codewords(code, budget=1 << 14)
+                 if not w.is_zero()]
         want_pair = min(pair_weight(w) for w in words)
         want_ham = min(hamming_weight(w) for w in words)
         res = scan_minima(code)
@@ -133,7 +174,7 @@ def test_witness_is_first_in_enumeration_order():
     ring = QuotientRing(Field(3, 1), 2, 1, 2)
     code = build_code(ring, FieldPower(2))
     rep = min_distance_brute(code)
-    for w in code.codewords(budget=1 << 10):
+    for w in enumerate_codewords(code, budget=1 << 10):
         if w.is_zero():
             continue
         if w == rep.witness:

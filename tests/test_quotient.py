@@ -5,6 +5,7 @@ import pytest
 from paircodes.errors import (
     ConstructionRefused,
     ExponentOutOfRange,
+    InvalidValue,
     RingMismatch,
     ZeroElement,
     ZeroPolynomial,
@@ -44,6 +45,10 @@ def test_construction_guards():
         QuotientRing(f3, 2, 1, 1)                  # x^2 - 1 reducible
     with pytest.raises(ZeroElement):
         QuotientRing(f3, 2, 1, 0)
+    with pytest.raises(InvalidValue):
+        QuotientRing(f3, 2, 1, 5)                  # alpha0 outside GF(3)
+    with pytest.raises(InvalidValue):
+        QuotientRing(f3, 1, 1, 1, beta=3)
     with pytest.raises(ConstructionRefused):
         QuotientRing(f3, 2, 0, 2)                  # s must be >= 1
     f5 = Field(5, 1)
@@ -207,6 +212,10 @@ def test_poly_text_roundtrip():
     assert w.coeffs[0] == chain.base.make(2, 1)
     assert w.coeffs[2] == chain.base.make(0, 2)
     assert w.coeffs[3] == 1
+    with pytest.raises(InvalidValue):
+        chain.poly([chain.base.size])              # coefficient out of range
+    with pytest.raises(InvalidValue):
+        chain.parse_poly("2+u3")                   # digit 3 is not in GF(3)
 
 
 def test_embed_and_times_u():
