@@ -5,9 +5,10 @@ whose base-p digits, least significant first, are the coefficients of the
 residue polynomial (constant term first).  An element of the two-component
 ring ``a + u*b`` (with u^2 = 0) packs its halves as ``a + q*b`` where
 ``q = p^m``.  Ints are the only element API: they keep the hot loops cheap
-and let small fields run entirely off precomputed tables.  Values that come
-from outside (text, moduli, constants) are range-checked on the way in and
-never reduced mod p.
+and index straight into the field's exp/log/Zech tables, which every field
+builds in O(q) time and memory from a primitive element.  Values that come
+from outside (text, moduli, constants, digits) are range-checked on the way
+in and never reduced mod p.
 
 Text forms: a field element prints as its digit list, constant first
 ("2,1" is 2 + y in GF(9)); a two-component element prints as "a|b".
@@ -19,6 +20,7 @@ two-component coefficient prints as "a+ub".
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,8 +32,6 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-
-_TABLE_LIMIT = 512
 
 
 def _is_prime(x: int) -> bool:
@@ -188,10 +188,36 @@ class Field:
         self.q = p ** m
         self.modulus: tuple[int, ...] = tuple(modulus)
         self._pow_p = [p ** t for t in range(m)]
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
+        self._build_logs()
+
+    def _build_logs(self) -> None:
+        """Exp, log and Zech tables over a primitive element g, in O(q).
+
+        ``_exp[k] = g^k`` for k in [0, 2(q-1)), so a sum of two logs needs no
+        reduction; ``_log[a]`` inverts it on nonzero a; ``_zech[k]`` is
+        log(1 + g^k), or None where 1 + g^k = 0.  Indexing ``_zech`` with a
+        difference of logs in (-(q-1), q-1) reduces it mod q-1 for free.
+        """
+        p, q1, mod = self.p, self.q - 1, list(self.modulus)
+        factors = prime_factors(q1)
+        for a in range(1, self.q):
+            g = _ptrim(list(self.coords(a)))
+            if all(_ppowmod(g, q1 // r, mod, p) != [1] for r in factors):
+                break
+        exp: list[int] = []
+        log: list = [None] * self.q
+        x = [1]
+        for k in range(q1):
+            e = self.from_coords(x)
+            exp.append(e)
+            log[e] = k
+            x = _pmod(_pmul(x, g, p), mod, p)
+        # 1 + g^k only changes the constant digit of g^k; where the sum is 0,
+        # log[0] = None is the marker.
+        self._zech = [log[e + 1 - p if (e + 1) % p == 0 else e + 1]
+                      for e in exp]
+        self._exp, self._log = exp * 2, log
+        self._log_neg1 = q1 // 2 if p > 2 else 0
 
     # -- encoding ----------------------------------------------------------
 
@@ -204,81 +230,49 @@ class Field:
         return tuple(out)
 
     def from_coords(self, cs: Iterable[int]) -> int:
-        cs = list(cs)
+        """The element with base-p digits `cs`, constant term first."""
+        cs = [int(c) for c in cs]
+        for c in cs:
+            if not 0 <= c < self.p:
+                raise InvalidValue(
+                    f"digit {c} outside [0, {self.p}) for {self!r}")
         if len(cs) > self.m:
             raise DegreeMismatch(
                 f"too many coefficients for GF({self.q}): {cs}")
-        return sum((int(c) % self.p) * self._pow_p[t] for t, c in enumerate(cs))
-
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        polys = [self.coords(a) for a in range(q)]
-        self._add_t = [
-            [self.from_coords((x + y) % p for x, y in zip(polys[a], polys[b]))
-             for b in range(q)]
-            for a in range(q)
-        ]
-        self._neg_t = [self.from_coords((-x) % p for x in polys[a])
-                       for a in range(q)]
-        mod = list(self.modulus)
-        mul_t = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            pa = _ptrim(list(polys[a]))
-            for b in range(a, q):
-                v = self.from_coords(
-                    _pmod(_pmul(pa, _ptrim(list(polys[b])), p), mod, p))
-                mul_t[a][b] = v
-                mul_t[b][a] = v
-        self._mul_t = mul_t
-        inv_t = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul_t[a][b] == 1:
-                    inv_t[a] = b
-                    break
-        self._inv_t = inv_t
+        return sum(c * self._pow_p[t] for t, c in enumerate(cs))
 
     # -- arithmetic on encoded ints -----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self.from_coords(
-            (x + y) % self.p for x, y in zip(self.coords(a), self.coords(b)))
+        """a + b = a * (1 + b/a), read off the Zech table."""
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self.from_coords((-x) % self.p for x in self.coords(a))
+        return self._exp[self._log[a] + self._log_neg1] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        prod = _pmul(_ptrim(list(self.coords(a))), _ptrim(list(self.coords(b))),
-                     self.p)
-        return self.from_coords(_pmod(prod, list(self.modulus), self.p))
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.q})")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+            raise DivisionByZero(f"0 has no inverse in GF({self.q})")
+        return 0 if e else 1
 
     def is_unit(self, a: int) -> bool:
         return a != 0
@@ -287,11 +281,7 @@ class Field:
         """Multiplicative order of a nonzero element."""
         if a == 0:
             raise ZeroElement(f"0 has no multiplicative order in GF({self.q})")
-        e = self.q - 1
-        for r in prime_factors(e):
-            while e % r == 0 and self.pow(a, e // r) == 1:
-                e //= r
-        return e
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
 
     # -- GF(p)-linear structure ---------------------------------------------
 
@@ -319,19 +309,11 @@ class Field:
             raise InvalidValue(f"{a!r} does not encode an element of {self!r}")
         return a
 
-    def _parse_digits(self, parts: Sequence[str]) -> int:
-        digits = [parse_int(s) for s in parts]
-        for c in digits:
-            if not 0 <= c < self.p:
-                raise InvalidValue(
-                    f"digit {c} outside [0, {self.p}) for {self!r}")
-        return self.from_coords(digits)
-
     def format_element(self, a: int) -> str:
         return ",".join(str(c) for c in self.coords(a))
 
     def parse_element(self, text: str) -> int:
-        return self._parse_digits(text.split(","))
+        return self.from_coords(parse_int(s) for s in text.split(","))
 
     def format_coeff(self, a: int) -> str:
         """Comma-free rendering for use inside polynomial strings."""
@@ -340,7 +322,7 @@ class Field:
         return ".".join(str(c) for c in self.coords(a))
 
     def parse_coeff(self, text: str) -> int:
-        return self._parse_digits(text.split("."))
+        return self.from_coords(parse_int(s) for s in text.split("."))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field) and self.p == other.p
@@ -408,18 +390,6 @@ class ChainRing:
         f = self.field
         ai = f.inv(a)
         return self.make(ai, f.neg(f.mul(f.mul(ai, ai), b)))
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            x, e = self.inv(x), -e
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return result
 
     # -- GF(p)-linear structure ----------------------------------------------
 

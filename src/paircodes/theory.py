@@ -343,10 +343,11 @@ def consistency_scan(ring: QuotientRing,
     check_budget(budget)
     report = ScanReport()
     for spec in all_code_specs(ring, unit_samples, rng):
-        code = build_code(ring, spec)
-        if code.size > budget:
+        log_p_size = log_size(ring, spec)
+        if ring.p ** log_p_size > budget:
             report.skipped += 1
             continue
+        code = build_code(ring, spec)
         formula_pair = min_pair_distance(ring, spec)
         formula_ham = (min_hamming_distance(ring.p, ring.s, spec.i)
                        if isinstance(spec, FieldPower) else None)
@@ -365,8 +366,8 @@ def consistency_scan(ring: QuotientRing,
         entry = ScanEntry(
             spec_text=spec_to_text(spec),
             dim_p=code.dim_p,
-            log_size=log_size(ring, spec),
-            dim_ok=(code.dim_p == log_size(ring, spec)),
+            log_size=log_p_size,
+            dim_ok=(code.dim_p == log_p_size),
             formula_pair=formula_pair,
             oracle_pair=oracle_pair,
             formula_hamming=formula_ham,

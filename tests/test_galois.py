@@ -14,6 +14,8 @@ from paircodes.errors import (
 from paircodes.galois import (
     ChainRing,
     Field,
+    _pmod,
+    _pmul,
     binomial_irreducible,
     irreducible_binomial_constants,
 )
@@ -126,19 +128,101 @@ def test_field_axioms_random():
                 assert field.mul(a, field.inv(a)) == 1
 
 
-def test_field_without_tables_matches_small_field():
-    # GF(3^6) = 729 elements is above the table cutoff; check against
-    # digit arithmetic directly.
-    field = Field(3, 6)
-    assert field._mul_t is None
+class _DigitReference:
+    """Field arithmetic straight from digits and `_pmul`/`_pmod`."""
+
+    def __init__(self, field):
+        self.field, self.p, self.mod = field, field.p, list(field.modulus)
+
+    def enc(self, digits):
+        return sum(d * self.p ** t for t, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.enc((x + y) % self.p for x, y in
+                        zip(self.field.coords(a), self.field.coords(b)))
+
+    def neg(self, a):
+        return self.enc((-x) % self.p for x in self.field.coords(a))
+
+    def mul(self, a, b):
+        prod = _pmul(self.field.coords(a), self.field.coords(b), self.p)
+        return self.enc(_pmod(prod, self.mod, self.p))
+
+    def powers(self, a):
+        """[a^0, a^1, ...] up to, not including, the first return to 1."""
+        out = [1]
+        while True:
+            nxt = self.mul(out[-1], a)
+            if nxt == 1:
+                return out
+            out.append(nxt)
+
+
+def _check_pair(field, ref, a, b):
+    assert field.add(a, b) == ref.add(a, b), (field, a, b)
+    assert field.sub(a, b) == ref.add(a, ref.neg(b)), (field, a, b)
+    assert field.mul(a, b) == ref.mul(a, b), (field, a, b)
+
+
+def _check_element(field, ref, a, exponents):
+    assert field.neg(a) == ref.neg(a), (field, a)
+    if a == 0:
+        assert field.pow(0, 0) == 1
+        assert all(field.pow(0, e) == 0 for e in exponents if e > 0)
+        with pytest.raises(DivisionByZero):
+            field.pow(0, -1)
+        with pytest.raises(DivisionByZero):
+            field.inv(0)
+        with pytest.raises(ZeroElement):
+            field.order(0)
+        return
+    cycle = ref.powers(a)
+    assert field.order(a) == len(cycle), (field, a)
+    assert ref.mul(a, field.inv(a)) == 1, (field, a)
+    for e in exponents:
+        assert field.pow(a, e) == cycle[e % len(cycle)], (field, a, e)
+
+
+_SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                  41, 43, 47, 53, 59, 61)
+                 for m in range(1, 7) if p ** m <= 64]
+
+
+def test_field_arithmetic_matches_polynomial_reference():
+    # Every pair in every field with q <= 64, plus explicit moduli; GF(9)
+    # (x^2 + 1) and x^4 + x^3 + x^2 + x + 1 are irreducible but not
+    # primitive, so x does not generate them.
+    fields = [Field(p, m) for p, m in _SMALL_FIELDS]
+    fields += [Field(3, 2, (2, 1, 1)), Field(2, 4, (1, 1, 1, 1, 1))]
+    for field in fields:
+        ref = _DigitReference(field)
+        q = field.q
+        exponents = [0, 1, 2, q - 2, q - 1, q, 2 * q + 3, -1, -2, -q - 1]
+        for a in range(q):
+            _check_element(field, ref, a, exponents)
+            for b in range(q):
+                _check_pair(field, ref, a, b)
+    assert len(_DigitReference(Field(3, 2)).powers(3)) == 4     # x^2 = -1
+    assert len(_DigitReference(fields[-1]).powers(2)) == 5      # x^5 = 1
+
+
+def test_large_field_arithmetic_matches_polynomial_reference():
+    # Random pairs on fields of 256 to 729 elements.  None of their default
+    # moduli is primitive: x has order 364, 73 and 51 respectively.
     rng = random.Random(2)
-    for _ in range(50):
-        a, b = rng.randrange(field.q), rng.randrange(field.q)
-        s = field.add(a, b)
-        assert field.coords(s) == tuple(
-            (x + y) % 3 for x, y in zip(field.coords(a), field.coords(b)))
-        if a:
-            assert field.mul(a, field.inv(a)) == 1
+    for p, m in [(3, 6), (2, 9), (2, 8)]:
+        field = Field(p, m)
+        ref = _DigitReference(field)
+        q = field.q
+        for _ in range(400):
+            a, b = rng.randrange(q), rng.randrange(q)
+            _check_pair(field, ref, a, b)
+            assert field.neg(a) == ref.neg(a)
+            if a:
+                assert ref.mul(a, field.inv(a)) == 1
+        for a in [0, 1, p, q - 1] + [rng.randrange(1, q) for _ in range(6)]:
+            _check_element(field, ref, a, [0, 1, 5, q - 2, q, -1, -7])
+        assert len(ref.powers(p)) < q - 1
 
 
 def test_element_orders():
@@ -199,6 +283,10 @@ def test_chain_ring_text_forms():
             f9.parse_element(bad)
     with pytest.raises(InvalidValue):
         R.parse_coeff("2.1+u0.3")
+    with pytest.raises(InvalidValue):
+        Field(3, 1).from_coords([7])
+    with pytest.raises(InvalidValue):
+        f9.from_coords([1, -1])
 
 
 def test_element_text_roundtrip_random():

@@ -13,6 +13,7 @@ from paircodes.codes import (
 )
 from paircodes.errors import ConstraintViolation, ExponentOutOfRange
 from paircodes.galois import Field
+from paircodes import theory
 from paircodes.pairmetric import hamming_weight
 from paircodes.quotient import QuotientRing, binomial_power
 from paircodes.theory import (
@@ -218,6 +219,24 @@ def test_consistency_scan_chain_rings():
     report = consistency_scan(QuotientRing(Field(2, 1), 1, 2, 1, beta=0),
                               unit_samples=2, rng=rng)
     assert report.ok and report.skipped == 0
+
+
+def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    budget = 1 << 6
+    specs = all_code_specs(ring, 2, random.Random(5))
+    over = sum(build_code(ring, spec).size > budget for spec in specs)
+    built = []
+
+    def counting_build_code(ring, spec):
+        built.append(spec)
+        return build_code(ring, spec)
+
+    monkeypatch.setattr(theory, "build_code", counting_build_code)
+    report = consistency_scan(ring, budget=budget, unit_samples=2,
+                              rng=random.Random(5))
+    assert report.ok and report.skipped == over > 0
+    assert len(built) == len(report.entries)
 
 
 def test_mds_classify_with_oracle_budget():
