@@ -266,10 +266,21 @@ class ConstacyclicCode:
 
     # -- words <-> coordinate rows ------------------------------------------
 
-    def word_to_coords(self, w: QPoly) -> np.ndarray:
-        if w.ring != self.ring:
-            raise RingMismatch("word lives in a different quotient")
-        return word_coords(w)
+    def coords_at(self, counter: int) -> np.ndarray:
+        """GF(p) coordinates of codeword number `counter`: its base-p
+        digits, least significant first, weight the basis rows."""
+        if not 0 <= counter < self.size:
+            raise InvalidValue(f"no codeword number {counter} among "
+                               f"{self.size}")
+        digits = []
+        while counter:
+            counter, digit = divmod(counter, self.ring.p)
+            digits.append(digit)
+        rows = self.basis[:len(digits)]
+        return (np.array(digits, dtype=np.int64) @ rows) % self.ring.p
+
+    def word_at(self, counter: int) -> QPoly:
+        return self.coords_to_word(self.coords_at(counter))
 
     def coords_to_word(self, vec: Sequence[int]) -> QPoly:
         base = self.ring.base
@@ -281,16 +292,10 @@ class ConstacyclicCode:
 
     # -- membership -----------------------------------------------------------
 
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        p = self.ring.p
-        v = vec % p
-        for row, c in zip(self.basis, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % p
-        return v
-
     def contains(self, w: QPoly) -> bool:
-        return not self._reduce(self.word_to_coords(w)).any()
+        if w.ring != self.ring:
+            raise RingMismatch("word lives in a different quotient")
+        return bool(self.contains_batch(word_coords(w)[None, :])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for rows of GF(p) coordinates."""
@@ -361,21 +366,7 @@ def enumerate_codewords(code: ConstacyclicCode,
     if code.size > budget:
         raise Exhausted(
             f"{code.size} codewords exceed the budget of {budget}")
-    p, dim = code.ring.p, code.dim_p
-
-    def walk() -> Iterator[QPoly]:
-        for counter in range(code.size):
-            digits, c = [], counter
-            for _ in range(dim):
-                c, r = divmod(c, p)
-                digits.append(r)
-            if dim:
-                vec = (np.array(digits, dtype=np.int64) @ code.basis) % p
-            else:
-                vec = np.zeros(code.ncols, dtype=np.int64)
-            yield code.coords_to_word(vec)
-
-    return walk()
+    return (code.word_at(counter) for counter in range(code.size))
 
 
 def consta_shift_matrix(ring: QuotientRing) -> np.ndarray:

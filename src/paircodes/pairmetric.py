@@ -8,10 +8,20 @@ pair distance decomposes as d_H + L where L is the number of maximal
 circular runs of differing positions -- ``block_decomposition`` computes
 both sides.
 
-``min_distance_brute`` is the independent check on every closed-form
-distance in :mod:`paircodes.theory`: it walks all p^dim codewords (chunked
-through numpy) when that fits the budget, and degrades to a sampled upper
-bound otherwise.
+``scan_minima`` is the independent check on every closed-form distance in
+:mod:`paircodes.theory`.  Codeword number c (its counter) takes the base-p
+digits of c, least significant first, as coefficients of the basis rows.
+The scan covers counters 1..p^dim - 1 when they fit the budget
+("exhaustive"), else 1..budget, an upper bound; ``scanned`` is the last.
+
+The kernel only adds: a low table holds every combination of the first h
+basis rows (p^h <= ``_BLOCK`` words), and a block of p^h consecutive
+counters is that table plus one word, brought back into [0, p) by one
+conditional subtract (unsigned words - p wraps above words when words < p).
+Scaling a word by a unit keeps its support, and a counter with leading
+base-p digit a != 1 names a times a smaller counter with leading digit 1.
+So only counters with leading digit 1 are visited (one in p-1): the
+minima, and the first counter attaining each, are those of the prefix.
 """
 
 from __future__ import annotations
@@ -125,73 +135,74 @@ class DistanceReport:
         }
 
 
-def _digit_width(stop: int, dim: int, p: int) -> int:
-    """How many low base-p digits (at most `dim`) can be nonzero below stop.
-
-    Every radix p^t below that width is below stop, so none overflows int64.
-    """
-    width = 0
-    while width < dim and p ** width < stop:
-        width += 1
-    return width
+# Most words in the low table, hence in a block; it always spans one digit.
+_BLOCK = 1 << 13
 
 
-def _digit_block(start: int, stop: int, width: int, p: int) -> np.ndarray:
-    counters = np.arange(start, stop, dtype=np.int64)
-    radix = p ** np.arange(width, dtype=np.int64)
-    return (counters[:, None] // radix[None, :]) % p
+def _low_table(code: ConstacyclicCode, h: int, dtype) -> np.ndarray:
+    """Column c is codeword c for c < p^h, built by additions."""
+    p = code.ring.p
+    low = np.zeros((code.ncols, p ** h), dtype=dtype)
+    for t, row in enumerate(code.basis[:h].astype(dtype)):
+        size = p ** t
+        for a in range(1, p):
+            block = low[:, a * size:(a + 1) * size]
+            np.add(low[:, (a - 1) * size:a * size], row[:, None], out=block)
+            np.minimum(block, block - p, out=block)
+    return low
 
 
-def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET,
-                chunk: int = 1 << 14) -> dict:
-    """One pass over (up to `budget`) nonzero codewords, tracking both minima.
+def _blocks(code: ConstacyclicCode, low: np.ndarray, last: int):
+    """(first counter, words) over the counters p^j..2p^j-1 up to last."""
+    p, span = code.ring.p, low.shape[1]
+    lead = 1
+    while lead <= last:
+        stop = min(2 * lead, last + 1)
+        if lead < span:
+            yield lead, low[:, lead:stop]
+        else:
+            for first in range(lead, stop, span):
+                words = (low[:, :min(span, stop - first)]
+                         + code.coords_at(first).astype(low.dtype)[:, None])
+                yield first, np.minimum(words, words - p, out=words)
+        lead *= p
 
-    Returns a dict with the minimum pair and Hamming weights, the counter
-    index of the first word attaining each, and whether the pass was
-    exhaustive.  The zero code yields minima of None.
+
+def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
+    """Minimum pair and Hamming weights over a prefix of the counters.
+
+    Returns the minima, the first counter attaining each, whether the
+    prefix is every nonzero codeword, and its last counter.  The zero code
+    yields minima of None.
     """
     check_budget(budget)
     ring = code.ring
-    p, N = ring.p, ring.N
-    sdim = ring.base.gfp_dim
+    p, dim = ring.p, code.dim_p
     total = code.size
     exhaustive = total <= budget
     last = total - 1 if exhaustive else budget
     out = {"min_pair": None, "pair_at": None,
            "min_hamming": None, "hamming_at": None,
            "exhaustive": exhaustive, "scanned": last}
-    if code.dim_p == 0:
+    if dim == 0:
         out["exhaustive"] = True
         out["scanned"] = 0
         return out
-    width = _digit_width(last + 1, code.dim_p, p)
-    basis_f = code.basis[:width].astype(np.float64)
-    start = 1
-    while start <= last:
-        stop = min(start + chunk, last + 1)
-        digits = _digit_block(start, stop, width, p).astype(np.float64)
-        words = digits @ basis_f
-        words %= p
-        mask = words.reshape(stop - start, N, sdim).any(axis=2)
-        wt_h = mask.sum(axis=1)
-        pair_mask = mask | np.roll(mask, -1, axis=1)
-        wt_p = pair_mask.sum(axis=1)
-        for key_min, key_at, wts in (("min_pair", "pair_at", wt_p),
-                                     ("min_hamming", "hamming_at", wt_h)):
-            lo = int(wts.min())
-            if out[key_min] is None or lo < out[key_min]:
-                out[key_min] = lo
-                out[key_at] = start + int(np.argmax(wts == lo))
-        start = stop
+    h = 1
+    while h < dim and p ** h <= last and p ** (h + 1) <= _BLOCK:
+        h += 1
+    low = _low_table(code, h, np.min_scalar_type(2 * (p - 1)))
+    for first, words in _blocks(code, low, last):
+        mask = words.reshape(ring.N, ring.base.gfp_dim, -1).any(axis=1)
+        pair_mask = mask | np.roll(mask, -1, axis=0)
+        for key_min, key_at, wts in (
+                ("min_pair", "pair_at", pair_mask.sum(axis=0)),
+                ("min_hamming", "hamming_at", mask.sum(axis=0))):
+            i = int(np.argmin(wts))
+            if out[key_min] is None or wts[i] < out[key_min]:
+                out[key_min] = int(wts[i])
+                out[key_at] = first + i
     return out
-
-
-def _word_at(code: ConstacyclicCode, counter: int) -> QPoly:
-    p = code.ring.p
-    width = _digit_width(counter + 1, code.dim_p, p)
-    digits = _digit_block(counter, counter + 1, width, p)
-    vec = (digits @ code.basis[:width])[0] % p
-    return code.coords_to_word(vec)
 
 
 def min_distance_brute(code: ConstacyclicCode, metric: str = "pair",
@@ -211,7 +222,7 @@ def min_distance_brute(code: ConstacyclicCode, metric: str = "pair",
                               method="exhaustive", witness=None)
     res = scan_minima(code, budget)
     at = res["pair_at"] if metric == "pair" else res["hamming_at"]
-    w = _word_at(code, at)
+    w = code.word_at(at)
     d_h = hamming_weight(w)
     d_p = pair_weight(w)
     L = None

@@ -202,9 +202,6 @@ class QPoly:
         base = self.ring.base
         return QPoly(self.ring, tuple(base.scalar_mul(c, a) for a in self.coeffs))
 
-    def shift(self) -> "QPoly":
-        return consta_shift(self)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

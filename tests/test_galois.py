@@ -27,16 +27,19 @@ def _poly_divides(field, divisor, target):
     """Does `divisor` (monic, coeff tuples over the field) divide `target`?"""
     rem = list(target)
     dd = len(divisor) - 1
-    while len(rem) - 1 >= dd and any(rem):
+    while True:
         while rem and rem[-1] == 0:
             rem.pop()
         if len(rem) - 1 < dd:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
+            return not rem
+        lead, deg = rem[-1], len(rem) - 1
         for i, c in enumerate(divisor):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(lead, c))
-    return not any(rem)
+            rem[deg - dd + i] = field.sub(rem[deg - dd + i],
+                                          field.mul(lead, c))
+        # Each pass must cancel the leading term, or the loop never ends.
+        assert rem.pop() == 0, (
+            f"the x^{deg} term did not cancel over GF({field.q}): "
+            f"sub({lead}, mul({lead}, 1)) != 0")
 
 
 def _binomial_reducible_by_search(field, n, lam):

@@ -1,9 +1,18 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from paircodes.codes import FieldPower, Type1, build_code, enumerate_codewords
+from paircodes.codes import (
+    ChainPrincipal,
+    ConstacyclicCode,
+    FieldPower,
+    Type1,
+    build_code,
+    enumerate_codewords,
+    word_coords,
+)
 from paircodes import pairmetric
 from paircodes.errors import (
     DegenerateInput,
@@ -171,15 +180,21 @@ def test_scan_matches_pure_python_enumeration():
 
 
 def test_witness_is_first_in_enumeration_order():
-    ring = QuotientRing(Field(3, 1), 2, 1, 2)
-    code = build_code(ring, FieldPower(2))
-    rep = min_distance_brute(code)
-    for w in enumerate_codewords(code, budget=1 << 10):
-        if w.is_zero():
-            continue
-        if w == rep.witness:
-            break
-        assert pair_weight(w) > rep.d_sp
+    codes = [build_code(QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(2)),
+             # 5^6 words: past the 5^5-word low table, projective reduction
+             # visits one counter in four.
+             build_code(QuotientRing(Field(5, 1), 1, 2, 1), FieldPower(19))]
+    for code in codes:
+        for metric, weight in (("pair", pair_weight),
+                               ("hamming", hamming_weight)):
+            rep = min_distance_brute(code, metric)
+            best = rep.d_sp if metric == "pair" else rep.d_H
+            for w in enumerate_codewords(code, budget=code.size):
+                if w.is_zero():
+                    continue
+                if w == rep.witness:
+                    break
+                assert weight(w) > best
 
 
 def test_report_serialization():
@@ -188,3 +203,101 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["d_sp"] == 4 and d["method"] == "exhaustive"
     assert isinstance(d["witness"], str)
+
+
+@pytest.mark.parametrize("p", [131, 251, 257])
+def test_scan_large_primes(p):
+    # <(x-1)^(p-2)> over GF(p), N = p: p^2 words, d_H = p-1, d_sp = p.
+    # The sums of two symbols reach 2(p-1), past 255 from p = 129 on.
+    code = build_code(QuotientRing(Field(p, 1), 1, 1, 1), FieldPower(p - 2))
+    res = scan_minima(code)
+    assert res["exhaustive"] and res["scanned"] == p * p - 1
+    assert res["min_hamming"] == p - 1
+    assert res["min_pair"] == p
+
+
+def _reference_words(code):
+    """GF(p) coordinates of codewords 1, 2, ... by a pure-Python walk.
+
+    Stepping counter c to c+1 wraps digits p-1 -> 0 and raises one digit;
+    each such digit change adds its basis row mod p (-(p-1) = 1 mod p).
+    """
+    p = code.ring.p
+    rows = code.basis.tolist()
+    digits = [0] * len(rows)
+    vec = [0] * len(rows[0])
+    for _ in range(1, code.size):
+        t = 0
+        while True:
+            vec = [(v + r) % p for v, r in zip(vec, rows[t])]
+            if digits[t] < p - 1:
+                digits[t] += 1
+                break
+            digits[t] = 0
+            t += 1
+        yield vec
+
+
+def _leading_digit(counter, p):
+    while counter >= p:
+        counter //= p
+    return counter
+
+
+# p^h is the largest power of p within the kernel's 2^13-word block; every
+# code spans its low table p times, and p^(h+2) words for p = 2, so that a
+# segment p^j..2p^j-1 takes several blocks.
+@pytest.mark.parametrize("ring, spec", [
+    (QuotientRing(Field(2, 1), 1, 4, 1), FieldPower(1)),
+    (QuotientRing(Field(3, 1), 1, 3, 1), FieldPower(18)),
+    (QuotientRing(Field(5, 1), 1, 2, 1), FieldPower(19)),
+    (QuotientRing(Field(7, 1), 1, 2, 1), FieldPower(44)),
+    (QuotientRing(Field(2, 1), 1, 3, 1, beta=1), ChainPrincipal(2)),
+    (QuotientRing(Field(3, 1), 1, 2, 1, beta=1), ChainPrincipal(9)),
+    (QuotientRing(Field(5, 1), 1, 1, 1, beta=1), ChainPrincipal(4)),
+    (QuotientRing(Field(7, 1), 1, 1, 1, beta=1), ChainPrincipal(9)),
+])
+def test_scan_matches_reference_walk(ring, spec, monkeypatch):
+    built = build_code(ring, spec)
+    p, dim, sdim = ring.p, built.dim_p, ring.base.gfp_dim
+    low = max(p ** h for h in range(dim) if p ** h <= 1 << 13)
+    assert low * p <= built.size
+    # Unit upper-triangular mixing of the row-reduced basis spreads the
+    # lightest words over the whole counter range.
+    mix = np.triu(np.random.default_rng(p).integers(0, p, (dim, dim)), 1)
+    basis = ((mix + np.eye(dim, dtype=np.int64)) @ built.basis) % p
+    code = ConstacyclicCode(ring, spec, basis, built.pivots)
+    words = enumerate_codewords(code, budget=code.size)
+    assert next(words).is_zero()
+    vecs = list(_reference_words(code))
+    for w, vec in zip(words, vecs[:p * p]):
+        assert word_coords(w).tolist() == vec
+    # The blocks hold exactly the words with leading digit 1, reduced mod p.
+    blocks, seen = pairmetric._blocks, []
+
+    def recording_blocks(*args):
+        for first, block in blocks(*args):
+            seen.extend(enumerate(block.T.tolist(), start=first))
+            yield first, block
+
+    monkeypatch.setattr(pairmetric, "_blocks", recording_blocks)
+    scan_minima(code, code.size)
+    monkeypatch.undo()
+    assert [c for c, _ in seen] == [c for c in range(1, code.size)
+                                    if _leading_digit(c, p) == 1]
+    assert all(vec == vecs[c - 1] for c, vec in seen)
+    pair, ham = [], []
+    for vec in vecs:
+        symbols = [any(vec[i * sdim:(i + 1) * sdim]) for i in range(ring.N)]
+        pair.append(pair_weight(symbols))
+        ham.append(hamming_weight(symbols))
+    for budget in [1, 2, low - 1, low, low + 1, low + low // 2 + 1,
+                   2 * low + 1, code.size - 1, code.size]:
+        exhaustive = code.size <= budget
+        last = code.size - 1 if exhaustive else budget
+        want = {"exhaustive": exhaustive, "scanned": last}
+        for key_min, key_at, wts in (("min_pair", "pair_at", pair[:last]),
+                                     ("min_hamming", "hamming_at", ham[:last])):
+            want[key_min] = min(wts)
+            want[key_at] = wts.index(want[key_min]) + 1
+        assert scan_minima(code, budget) == want, budget

@@ -13,8 +13,12 @@ from paircodes.codes import (
 )
 from paircodes.errors import ConstraintViolation, ExponentOutOfRange
 from paircodes.galois import Field
-from paircodes import theory
-from paircodes.pairmetric import hamming_weight
+from paircodes import pairmetric, theory
+from paircodes.pairmetric import (
+    hamming_weight,
+    min_distance_brute,
+    scan_minima,
+)
 from paircodes.quotient import QuotientRing, binomial_power
 from paircodes.theory import (
     all_code_specs,
@@ -237,6 +241,31 @@ def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
                               rng=random.Random(5))
     assert report.ok and report.skipped == over > 0
     assert len(built) == len(report.entries)
+
+
+def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    budget = 1 << 8
+    scans = []
+
+    def counting_scan(code, budget):
+        scans.append(code.spec)
+        return scan_minima(code, budget)
+
+    # Every closed form is off by one, so every nonzero code mismatches.
+    monkeypatch.setattr(theory, "min_pair_distance",
+                        lambda ring, spec: min_pair_distance(ring, spec) + 1)
+    monkeypatch.setattr(theory, "scan_minima", counting_scan)
+    monkeypatch.setattr(pairmetric, "scan_minima", counting_scan)
+    report = consistency_scan(ring, budget=budget, unit_samples=1,
+                              rng=random.Random(3))
+    monkeypatch.undo()
+    checked = [e for e in report.entries if e.dim_p]
+    assert checked and len(scans) == len(checked)
+    for spec, entry in zip(scans, checked):
+        assert not entry.ok
+        rep = min_distance_brute(build_code(ring, spec), "pair", budget)
+        assert entry.witness == repr(rep.witness)
 
 
 def test_mds_classify_with_oracle_budget():
