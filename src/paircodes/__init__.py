@@ -33,7 +33,6 @@ from .codes import (
     ideal_code,
     log_size,
     random_unit,
-    restrict_subfield,
     spec_from_text,
     spec_generator_text,
     spec_to_text,

@@ -33,13 +33,12 @@ from .errors import (
     ConstraintViolation,
     Exhausted,
     InvalidValue,
-    NotChainCode,
     NotUnitNorZero,
     RingMismatch,
     VerificationMismatch,
 )
 from .galois import parse_int
-from .quotient import QPoly, QuotientRing, binomial_power, consta_shift, qmul
+from .quotient import QPoly, QuotientRing, binomial_power, qmul
 
 DEFAULT_BUDGET = 1 << 21
 
@@ -220,27 +219,25 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return mat[:r], pivots
 
 
-def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {v : mat @ v = 0 (mod p)}."""
-    mat = np.array(mat, dtype=np.int64) % p
-    _, cols = mat.shape
-    red, pivots = rref_mod_p(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        out[idx, fc] = 1
-        for r, pc in enumerate(pivots):
-            out[idx, pc] = (-int(red[r, fc])) % p
-    return out
+def _gfp_digits(values, p: int, d: int) -> np.ndarray:
+    """GF(p) coordinates of encoded coefficients, on a new last axis of
+    length d: their base-p digits, least significant first.  A field
+    element's digits are its coordinates, and a + q*b over the
+    two-component ring gives the digits of a, then those of b."""
+    values = np.asarray(values, dtype=np.int64)[..., None]
+    return values // np.int64(p) ** np.arange(d, dtype=np.int64) % p
 
 
 def word_coords(w: QPoly) -> np.ndarray:
     """GF(p) coordinate row of a word, position-major."""
-    base = w.ring.base
-    out = []
-    for c in w.coeffs:
-        out.extend(base.gfp_coords(c))
-    return np.array(out, dtype=np.int64)
+    return _gfp_digits(w.coeffs, w.ring.p, w.ring.base.gfp_dim).reshape(-1)
+
+
+def _times_lam(ring: QuotientRing) -> np.ndarray:
+    """The d x d block L with coords(lam * c) = coords(c) @ L (mod p)."""
+    base = ring.base
+    return _gfp_digits([base.mul(ring.lam, e) for e in base.gfp_basis()],
+                      ring.p, base.gfp_dim)
 
 
 class ConstacyclicCode:
@@ -327,21 +324,25 @@ def ideal_code(ring: QuotientRing,
 
     Closure under multiplication by the whole quotient is obtained from the
     base-ring scalars and the N cyclic-with-wrap shifts of each generator.
+    The d GF(p)-basis multiples of a generator give a (d, N, d) digit array
+    W.  Shifting by t moves position j to j + t and multiplies the t
+    positions that wrap past N - 1 by lam, so shift t is positions
+    N - t .. 2N - t - 1 of [W @ L, W] along the position axis; one gather
+    takes all N shifts, and one RREF reduces the rows of every generator.
     """
-    base, p, N = ring.base, ring.p, ring.N
+    base, p, N, d = ring.base, ring.p, ring.N, ring.base.gfp_dim
     scalars = base.gfp_basis()
-    rows = []
+    lam = _times_lam(ring)
+    shifts = N - np.arange(N)[:, None] + np.arange(N)
+    rows = [np.zeros((0, N * d), dtype=np.int64)]
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generator lives in a different quotient")
-        w = g
-        for _ in range(N):
-            for e in scalars:
-                rows.append(word_coords(w.scalar_mul(e)))
-            w = consta_shift(w)
-    if not rows:
-        rows = [np.zeros(N * base.gfp_dim, dtype=np.int64)]
-    basis, pivots = rref_mod_p(np.array(rows, dtype=np.int64), p)
+        W = _gfp_digits([[base.mul(e, c) for c in g.coeffs] for e in scalars],
+                        p, d)
+        both = np.concatenate([W @ lam % p, W], axis=1)
+        rows.append(both[:, shifts].reshape(N * d, N * d))
+    basis, pivots = rref_mod_p(np.concatenate(rows), p)
     return ConstacyclicCode(ring, None, basis, pivots)
 
 
@@ -352,7 +353,8 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     want = log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(
-            f"rank {code.dim_p} != classified size exponent {want}")
+            f"rank {code.dim_p} != classified size exponent {want}",
+            rank=code.dim_p)
     return code
 
 
@@ -371,35 +373,10 @@ def enumerate_codewords(code: ConstacyclicCode,
 
 def consta_shift_matrix(ring: QuotientRing) -> np.ndarray:
     """Matrix S with coords(x * w) = coords(w) @ S (mod p)."""
-    base = ring.base
-    d, N = base.gfp_dim, ring.N
-    S = np.zeros((N * d, N * d), dtype=np.int64)
-    for t in range(N - 1):
-        for r, e in enumerate(base.gfp_basis()):
-            S[t * d + r, (t + 1) * d:(t + 2) * d] = base.gfp_coords(e)
-    for r, e in enumerate(base.gfp_basis()):
-        S[(N - 1) * d + r, 0:d] = base.gfp_coords(base.mul(ring.lam, e))
+    d, N = ring.base.gfp_dim, ring.N
+    S = np.eye(N * d, k=d, dtype=np.int64)
+    S[-d:, :d] = _times_lam(ring)
     return S
-
-
-def restrict_subfield(code: ConstacyclicCode) -> ConstacyclicCode:
-    """Subcode of words with every coefficient in the field (b-part zero),
-    viewed over the companion field quotient."""
-    ring = code.ring
-    if not ring.is_chain:
-        raise NotChainCode("the code is already over the field")
-    m, N, p = ring.m, ring.N, ring.p
-    a_cols = [t * 2 * m + r for t in range(N) for r in range(m)]
-    b_cols = [t * 2 * m + m + r for t in range(N) for r in range(m)]
-    fq = ring.field_quotient()
-    if code.dim_p == 0:
-        empty = np.zeros((0, N * m), dtype=np.int64)
-        return ConstacyclicCode(fq, None, empty, [])
-    Bb = code.basis[:, b_cols]
-    K = nullspace_mod_p(Bb.T, p)          # rows c with c @ Bb = 0
-    rows = (K @ code.basis[:, a_cols]) % p
-    basis, pivots = rref_mod_p(rows, p)
-    return ConstacyclicCode(fq, None, basis, pivots)
 
 
 def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:

@@ -42,10 +42,6 @@ class NotUnitNorZero(PairCodeError):
     """A polynomial that must be zero or a unit is neither."""
 
 
-class NotChainCode(PairCodeError):
-    """The operation needs a code over the two-component ring."""
-
-
 class LengthTooShort(PairCodeError):
     """Pair-symbol reads need words of length at least two."""
 
@@ -99,4 +95,12 @@ class BudgetExceeded(PairCodeError):
 
 
 class VerificationMismatch(PairCodeError):
-    """An exhaustive computation contradicts the closed-form prediction."""
+    """An exhaustive computation contradicts the closed-form prediction.
+
+    ``rank`` is the GF(p)-rank found when a built code's dimension is what
+    disagrees, else None.
+    """
+
+    def __init__(self, message: str, rank: int | None = None):
+        super().__init__(message)
+        self.rank = rank

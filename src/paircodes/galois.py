@@ -151,7 +151,9 @@ def _is_irreducible_poly(f: Sequence[int], p: int) -> bool:
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m (constant first)."""
-    for tail in itertools.product(range(p), repeat=m):
+    # For m >= 2 a zero constant term means x divides f.
+    first = range(1, p) if m >= 2 else range(p)
+    for tail in itertools.product(first, *[range(p)] * (m - 1)):
         f = list(tail) + [1]
         if _is_irreducible_poly(f, p):
             return tuple(f)
@@ -289,17 +291,11 @@ class Field:
     def gfp_dim(self) -> int:
         return self.m
 
-    def gfp_coords(self, a: int) -> tuple[int, ...]:
-        return self.coords(a)
-
     def gfp_from_coords(self, cs: Sequence[int]) -> int:
         return self.from_coords(cs)
 
     def gfp_basis(self) -> list[int]:
         return list(self._pow_p)
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        return self.mul(c, a)
 
     # -- range checks and text ------------------------------------------------
 
@@ -401,9 +397,6 @@ class ChainRing:
     def gfp_dim(self) -> int:
         return 2 * self.field.m
 
-    def gfp_coords(self, e: int) -> tuple[int, ...]:
-        return self.field.coords(self.a_of(e)) + self.field.coords(self.b_of(e))
-
     def gfp_from_coords(self, cs: Sequence[int]) -> int:
         m = self.field.m
         return self.make(self.field.from_coords(cs[:m]),
@@ -412,9 +405,6 @@ class ChainRing:
     def gfp_basis(self) -> list[int]:
         base = self.field.gfp_basis()
         return base + [self.q * t for t in base]
-
-    def scalar_mul(self, c: int, e: int) -> int:
-        return self.mul(c, e)
 
     # -- text ------------------------------------------------------------------
 

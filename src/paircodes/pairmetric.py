@@ -32,7 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, ConstacyclicCode, check_budget
-from .errors import DegenerateInput, LengthTooShort, VerificationMismatch
+from .errors import (
+    DegenerateInput,
+    InvalidValue,
+    LengthTooShort,
+    VerificationMismatch,
+)
 from .quotient import QPoly
 
 
@@ -215,7 +220,7 @@ def min_distance_brute(code: ConstacyclicCode, metric: str = "pair",
     code reports distance 0.
     """
     if metric not in ("pair", "hamming"):
-        raise ValueError(f"unknown metric {metric!r}")
+        raise InvalidValue(f"unknown metric {metric!r}")
     check_budget(budget)
     if code.dim_p == 0:
         return DistanceReport(d_sp=0, d_H=0, L=None,

@@ -200,7 +200,7 @@ class QPoly:
 
     def scalar_mul(self, c: int) -> "QPoly":
         base = self.ring.base
-        return QPoly(self.ring, tuple(base.scalar_mul(c, a) for a in self.coeffs))
+        return QPoly(self.ring, tuple(base.mul(c, a) for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -39,7 +39,11 @@ from .codes import (
     unit_kind,
     validate_spec,
 )
-from .errors import ConstraintViolation, ExponentOutOfRange
+from .errors import (
+    ConstraintViolation,
+    ExponentOutOfRange,
+    VerificationMismatch,
+)
 # min_distance_brute is looked up here by bench/spans.py.
 from .pairmetric import min_distance_brute, scan_minima  # noqa: F401
 from .quotient import QuotientRing
@@ -339,7 +343,9 @@ def consistency_scan(ring: QuotientRing,
     dimension must match the classified size, the enumerated minimum pair
     distance must match the closed form, and (for field codes, where a
     closed form exists) the enumerated minimum Hamming distance must match
-    too.  Codes over budget are counted, not checked.
+    too.  A code whose rank disagrees is recorded with ``dim_ok`` false and
+    no oracle values, and the scan goes on.  Codes over budget are counted,
+    not checked.
     """
     check_budget(budget)
     report = ScanReport()
@@ -348,31 +354,33 @@ def consistency_scan(ring: QuotientRing,
         if ring.p ** log_p_size > budget:
             report.skipped += 1
             continue
-        code = build_code(ring, spec)
         formula_pair = min_pair_distance(ring, spec)
         formula_ham = (min_hamming_distance(ring.p, ring.s, spec.i)
                        if isinstance(spec, FieldPower) else None)
-        if code.dim_p == 0:
-            oracle_pair: int | None = 0
-            oracle_ham: int | None = 0
-            witness = None
-        else:
+        try:
+            code = build_code(ring, spec)
+            dim_p = code.dim_p
+        except VerificationMismatch as exc:
+            code, dim_p = None, exc.rank
+        oracle_pair = oracle_ham = witness = None
+        if code is not None and dim_p == 0:
+            oracle_pair = oracle_ham = 0
+        elif code is not None:
             res = scan_minima(code, budget)
             oracle_pair = res["min_pair"]
-            oracle_ham = res["min_hamming"] if formula_ham is not None else None
-            witness = None
+            if formula_ham is not None:
+                oracle_ham = res["min_hamming"]
             if oracle_pair != formula_pair:
                 witness = repr(code.word_at(res["pair_at"]))
-        entry = ScanEntry(
+        report.entries.append(ScanEntry(
             spec_text=spec_to_text(spec),
-            dim_p=code.dim_p,
+            dim_p=dim_p,
             log_size=log_p_size,
-            dim_ok=(code.dim_p == log_p_size),
+            dim_ok=(dim_p == log_p_size),
             formula_pair=formula_pair,
             oracle_pair=oracle_pair,
             formula_hamming=formula_ham,
             oracle_hamming=oracle_ham,
             witness=witness,
-        )
-        report.entries.append(entry)
+        ))
     return report

@@ -16,9 +16,7 @@ from paircodes.codes import (
     enumerate_codewords,
     generators,
     log_size,
-    nullspace_mod_p,
     random_unit,
-    restrict_subfield,
     rref_mod_p,
     spec_from_text,
     spec_generator_text,
@@ -31,7 +29,6 @@ from paircodes.errors import (
     BetaMismatch,
     ConstraintViolation,
     Exhausted,
-    NotChainCode,
     NotUnitNorZero,
     RingMismatch,
     VerificationMismatch,
@@ -39,6 +36,7 @@ from paircodes.errors import (
 from paircodes.galois import Field
 from paircodes.quotient import QuotientRing, binomial_power, consta_shift, qmul
 from paircodes.theory import all_code_specs
+from test_acceptance import grid_rings
 
 
 F3 = Field(3, 1)
@@ -68,8 +66,9 @@ def test_dimension_matches_classified_size_everywhere():
 def test_rank_mismatch_raises(monkeypatch):
     ring = QuotientRing(F3, 2, 1, 2)
     monkeypatch.setattr(codes, "log_size", lambda ring, spec: 99)
-    with pytest.raises(VerificationMismatch):
+    with pytest.raises(VerificationMismatch) as exc:
         build_code(ring, FieldPower(1))
+    assert exc.value.rank == 4
 
 
 def test_field_codes_are_nested():
@@ -202,26 +201,6 @@ def test_random_unit_deterministic():
     assert a == b
 
 
-def test_restrict_subfield_matches_field_power():
-    ring = QuotientRing(F3, 2, 1, 2, beta=0)
-    fq = ring.field_quotient()
-    for k in range(4):
-        sub = restrict_subfield(build_code(ring, Type1(k)))
-        assert sub.same_rowspace(build_code(fq, FieldPower(k)))
-    with pytest.raises(NotChainCode):
-        restrict_subfield(build_code(fq, FieldPower(1)))
-
-
-def test_restrict_subfield_words_lift_back():
-    ring = QuotientRing(F3, 2, 1, 2, beta=0)
-    rng = random.Random(13)
-    b = random_unit(ring.field_quotient(), rng)
-    code = build_code(ring, Type2(j=2, k=1, b=b))
-    sub = restrict_subfield(code)
-    for w in enumerate_codewords(sub, budget=1 << 12):
-        assert code.contains(ring.embed(w))
-
-
 def test_spec_text_roundtrip():
     chain0 = QuotientRing(F3, 1, 2, 1, beta=0)
     fq = chain0.field_quotient()
@@ -262,19 +241,72 @@ def test_spec_generator_text():
         chain0, Type2(j=2, k=1, b=fq.zero())) == "u(x^2-2)"
 
 
+def _reference_coords(w):
+    """GF(p) coordinates one coefficient at a time: the field digits of
+    each coefficient, a-part then b-part over the two-component ring."""
+    ring = w.ring
+    out = []
+    for c in w.coeffs:
+        parts = (ring.base.a_of(c), ring.base.b_of(c)) if ring.is_chain \
+            else (c,)
+        for part in parts:
+            out.extend(ring.field.coords(part))
+    return np.array(out, dtype=np.int64)
+
+
+def _reference_ideal_rows(ring, gens):
+    """Every scalar multiple of every shift, built in the quotient."""
+    rows = [np.zeros(ring.N * ring.base.gfp_dim, dtype=np.int64)]
+    for g in gens:
+        w = g
+        for _ in range(ring.N):
+            for e in ring.base.gfp_basis():
+                rows.append(_reference_coords(w.scalar_mul(e)))
+            w = consta_shift(w)
+    return np.array(rows)
+
+
+def test_ideal_code_matches_qpoly_reference():
+    rings = [
+        QuotientRing(F3, 2, 1, 2, beta=0),              # chain, beta = 0, n = 2
+        QuotientRing(F2, 1, 3, 1, beta=0),              # chain, beta = 0, N = 8
+        QuotientRing(Field(2, 2), 1, 2, 1, beta=2),     # chain, beta != 0, m = 2
+        QuotientRing(F3, 1, 2, 1, beta=1),              # chain, beta != 0, N = 9
+        QuotientRing(Field(2, 2), 3, 2, 2),             # GF(4), n = 3, N = 12
+        QuotientRing(F2, 1, 6, 1),                      # GF(2), s = 6, N = 64
+    ]
+    checked = 0
+    for ring in rings:
+        for spec in all_code_specs(ring, unit_samples=2,
+                                   rng=random.Random(31)):
+            gens = generators(ring, spec)
+            code = codes.ideal_code(ring, gens)
+            basis, pivots = rref_mod_p(_reference_ideal_rows(ring, gens),
+                                       ring.p)
+            label = (ring, spec_to_text(spec))
+            assert code.basis.dtype == basis.dtype, label
+            assert code.basis.shape == basis.shape, label
+            assert code.basis.tobytes() == basis.tobytes(), label
+            assert code.pivots == pivots, label
+            checked += 1
+    assert checked > 150
+
+
 def test_consta_shift_matrix_agrees_with_shift():
     rng = random.Random(3)
-    for ring in _small_rings():
+    for ring in _small_rings() + list(grid_rings()):
         S = consta_shift_matrix(ring)
         size = ring.base.size if ring.is_chain else ring.field.q
         for _ in range(20):
             w = ring.poly([rng.randrange(size) for _ in range(ring.N)])
-            lhs = (word_coords(w) @ S) % ring.p
-            rhs = word_coords(consta_shift(w))
-            assert np.array_equal(lhs, rhs)
+            coords = _reference_coords(w)
+            assert np.array_equal(word_coords(w), coords), ring
+            lhs = (coords @ S) % ring.p
+            rhs = _reference_coords(consta_shift(w))
+            assert np.array_equal(lhs, rhs), ring
 
 
-def test_rref_and_nullspace():
+def test_rref():
     rng = random.Random(17)
     for p in (2, 3, 5):
         for _ in range(20):
@@ -289,10 +321,6 @@ def test_rref_and_nullspace():
                 col = R[:, c].copy()
                 col[r] = 0
                 assert not col.any()
-            NS = nullspace_mod_p(M, p)
-            assert NS.shape[0] == cols - len(piv)
-            if NS.size:
-                assert not ((M @ NS.T) % p).any()
 
 
 def test_same_rowspace_on_different_generating_sets():

@@ -11,6 +11,7 @@ from paircodes.errors import (
     ReducibleModulus,
     ZeroElement,
 )
+from paircodes import galois
 from paircodes.galois import (
     ChainRing,
     Field,
@@ -88,6 +89,21 @@ def test_default_moduli_are_least_lexicographic():
     assert Field(2, 2).modulus == (1, 1, 1)        # x^2 + x + 1
     assert Field(3, 2).modulus == (1, 0, 1)        # x^2 + 1
     assert Field(2, 3).modulus == (1, 0, 1, 1)     # x^3 + x^2 + 1
+
+
+def test_default_modulus_search_skips_multiples_of_x(monkeypatch):
+    calls = []
+    rabin = galois._is_irreducible_poly
+
+    def counting(f, p):
+        calls.append(tuple(f))
+        return rabin(f, p)
+
+    monkeypatch.setattr(galois, "_is_irreducible_poly", counting)
+    field = Field(2, 14)
+    assert field.modulus == (1,) + (0,) * 8 + (1,) + (0,) * 4 + (1,)
+    assert all(f[0] for f in calls)
+    assert len(calls) <= 40, len(calls)
 
 
 def test_modulus_validation():

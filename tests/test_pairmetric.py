@@ -157,6 +157,12 @@ def test_budget_below_one_is_refused(budget):
         consistency_scan(ring, budget=budget)
 
 
+def test_unknown_metric_is_refused():
+    code = build_code(QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1))
+    with pytest.raises(InvalidValue):
+        min_distance_brute(code, metric="bogus")
+
+
 def test_scan_matches_pure_python_enumeration():
     for ring, spec in [
         (QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1)),

@@ -10,8 +10,13 @@ from paircodes.codes import (
     Type3,
     build_code,
     random_unit,
+    spec_to_text,
 )
-from paircodes.errors import ConstraintViolation, ExponentOutOfRange
+from paircodes.errors import (
+    ConstraintViolation,
+    ExponentOutOfRange,
+    VerificationMismatch,
+)
 from paircodes.galois import Field
 from paircodes import pairmetric, theory
 from paircodes.pairmetric import (
@@ -280,3 +285,33 @@ def test_min_pair_distance_dispatches_by_family():
     cring = QuotientRing(Field(3, 1), 2, 1, 2, beta=1)
     assert min_pair_distance(cring, ChainPrincipal(4)) == \
         min_pair_distance_field(2, 3, 1, 1)[0]
+
+
+def test_rank_mismatch_is_one_failing_entry(monkeypatch):
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    budget = 1 << 8
+    clean = consistency_scan(ring, budget=budget, unit_samples=1,
+                             rng=random.Random(3))
+    assert clean.ok
+    bad = clean.entries[len(clean.entries) // 2]
+    real_build_code = theory.build_code
+
+    def failing_build_code(ring, spec):
+        if spec_to_text(spec) == bad.spec_text:
+            raise VerificationMismatch("planted rank mismatch", rank=99)
+        return real_build_code(ring, spec)
+
+    monkeypatch.setattr(theory, "build_code", failing_build_code)
+    report = consistency_scan(ring, budget=budget, unit_samples=1,
+                              rng=random.Random(3))
+    assert not report.ok and report.mismatches == [
+        e for e in report.entries if e.spec_text == bad.spec_text]
+    entry = report.mismatches[0]
+    assert entry.to_dict() == {
+        **bad.to_dict(), "dim_p": 99, "dim_ok": False, "oracle_pair": None,
+        "oracle_hamming": None, "ok": False, "witness": None}
+    assert report.skipped == clean.skipped
+    assert len(report.entries) == len(clean.entries)
+    for got, want in zip(report.entries, clean.entries):
+        if got is not entry:
+            assert got.to_dict() == want.to_dict()
