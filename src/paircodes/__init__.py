@@ -64,7 +64,6 @@ from .theory import (
     mds_verdict,
     min_hamming_distance,
     min_pair_distance,
-    min_pair_distance_chain,
     min_pair_distance_field,
 )
 

@@ -13,6 +13,9 @@ described by one of five parameter records:
   beta = 0, with 0 <= k <= p^s - 2, 1 <= t <= p^s - k - 1 and
   k + ceil(t/2) <= j <= k + t.
 
+A Type2 or Type3 record refuses, when it is made, a b that is neither zero
+nor a unit of its field quotient.
+
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
 echelon form.  Codewords are laid out position-major: position t of a word
 occupies columns [t*d, (t+1)*d) where d is the GF(p)-dimension of the
@@ -23,15 +26,15 @@ two-component ring).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     BetaMismatch,
+    BudgetExceeded,
     ConstraintViolation,
-    Exhausted,
     InvalidValue,
     NotUnitNorZero,
     RingMismatch,
@@ -47,6 +50,16 @@ def check_budget(budget: int) -> None:
     """Refuse a word budget that would allow no codeword at all."""
     if budget < 1:
         raise InvalidValue(f"the budget must be at least 1, got {budget}")
+
+
+def _check_b(spec: Type2 | Type3) -> None:
+    """Refuse a b that is neither zero nor a unit of its field quotient."""
+    fq = spec.b.ring
+    if fq.is_chain:
+        raise RingMismatch("b must live in the companion field quotient")
+    if unit_kind(fq, spec.b) == "neither":
+        raise NotUnitNorZero(
+            f"b = {spec.b!r} is neither zero nor a unit of {fq!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,7 @@ class Type2:
     j: int
     k: int
     b: QPoly
+    __post_init__ = _check_b
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,7 @@ class Type3:
     k: int
     t: int
     b: QPoly
+    __post_init__ = _check_b
 
 
 CodeSpec = Union[FieldPower, ChainPrincipal, Type1, Type2, Type3]
@@ -101,16 +116,12 @@ def unit_kind(fq: QuotientRing, b: QPoly) -> str:
     return "unit" if any(rem) else "neither"
 
 
-def _require_unit_or_zero(fq: QuotientRing, b: QPoly) -> str:
-    kind = unit_kind(fq, b)
-    if kind == "neither":
-        raise NotUnitNorZero(
-            f"b = {b!r} is neither zero nor a unit of {fq!r}")
-    return kind
-
-
 def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
-    """Check a parameter record against its admissible range for the ring."""
+    """Check a parameter record against its admissible range for the ring.
+
+    Whether b is zero or a unit is checked when a Type2/Type3 record is
+    made; here b only has to live in the ring's field quotient.
+    """
     ps = ring.p ** ring.s
     if isinstance(spec, FieldPower):
         if ring.is_chain:
@@ -132,7 +143,6 @@ def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
     if ring.beta != 0:
         raise BetaMismatch(f"{type(spec).__name__} needs beta = 0; with "
                            "beta != 0 use ChainPrincipal")
-    fq = ring.field_quotient()
     if isinstance(spec, Type1):
         if not 0 <= spec.k <= ps:
             raise ConstraintViolation(f"need 0 <= k <= {ps}, got k={spec.k}")
@@ -144,7 +154,6 @@ def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
         if not lo <= spec.j <= ps - 1:
             raise ConstraintViolation(
                 f"need {lo} <= j <= {ps - 1} for k={spec.k}, got j={spec.j}")
-        _require_unit_or_zero(fq, spec.b)
     elif isinstance(spec, Type3):
         if not 0 <= spec.k <= ps - 2:
             raise ConstraintViolation(
@@ -158,9 +167,11 @@ def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
             raise ConstraintViolation(
                 f"need {lo} <= j <= {spec.k + spec.t} for k={spec.k}, "
                 f"t={spec.t}, got j={spec.j}")
-        _require_unit_or_zero(fq, spec.b)
     else:
         raise TypeError(f"not a code parameter record: {spec!r}")
+    if (not isinstance(spec, Type1)
+            and spec.b.ring != ring.field_quotient()):
+        raise RingMismatch("b must live in the companion field quotient")
 
 
 def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
@@ -360,13 +371,13 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
 
 def enumerate_codewords(code: ConstacyclicCode,
                         budget: int = DEFAULT_BUDGET) -> Iterator[QPoly]:
-    """Yield every codeword exactly once, or raise Exhausted up front.
+    """Yield every codeword exactly once, or raise BudgetExceeded up front.
 
     Order: mixed-radix counters over the basis rows, least significant row
     first; counter 0 is the zero word.
     """
     if code.size > budget:
-        raise Exhausted(
+        raise BudgetExceeded(
             f"{code.size} codewords exceed the budget of {budget}")
     return (code.word_at(counter) for counter in range(code.size))
 
@@ -442,44 +453,47 @@ def _poly_text_short(f: QPoly) -> str:
     return ",".join(parts)
 
 
+_FAMILIES = {"field-power": FieldPower, "chain": ChainPrincipal,
+             "type1": Type1, "type2": Type2, "type3": Type3}
+
+
 def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
-    """Parse the compact text form; b, if present, must be the last key."""
+    """Parse the compact text form; b, if present, must be the last key.
+
+    Every key of the family must be given once, and no other key.
+    """
     head, _, body = text.strip().partition(":")
     head = head.strip().lower()
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     rest = body.strip()
     while rest:
         key, eq, tail = rest.partition("=")
         key = key.strip().lower()
         if not eq:
             raise ConstraintViolation(f"malformed parameter text: {text!r}")
+        if key in given:
+            raise ConstraintViolation(f"repeated key {key}= in {text!r}")
         if key == "b":
-            fields["b"] = tail.strip()
+            given["b"] = tail.strip()
             break
         val, _, rest = tail.partition(",")
-        fields[key] = val.strip()
+        given[key] = val.strip()
+    if head not in _FAMILIES:
+        raise ConstraintViolation(f"unknown code family {head!r}")
+    keys = [f.name for f in fields(_FAMILIES[head])]
+    for key in given:
+        if key not in keys:
+            raise ConstraintViolation(
+                f"unknown key {key}= for {head} in {text!r}")
 
-    def intval(k: str) -> int:
-        if k not in fields:
-            raise ConstraintViolation(f"missing {k}= in {text!r}")
-        return parse_int(fields[k])
+    def value(key: str) -> int | QPoly:
+        if key not in given:
+            raise ConstraintViolation(f"missing {key}= in {text!r}")
+        if key == "b":
+            return ring.field_quotient().parse_poly(given["b"])
+        return parse_int(given[key])
 
-    def bval() -> QPoly:
-        if "b" not in fields:
-            raise ConstraintViolation(f"missing b= in {text!r}")
-        return ring.field_quotient().parse_poly(fields["b"])
-
-    if head == "field-power":
-        return FieldPower(i=intval("i"))
-    if head == "chain":
-        return ChainPrincipal(i=intval("i"))
-    if head == "type1":
-        return Type1(k=intval("k"))
-    if head == "type2":
-        return Type2(j=intval("j"), k=intval("k"), b=bval())
-    if head == "type3":
-        return Type3(j=intval("j"), k=intval("k"), t=intval("t"), b=bval())
-    raise ConstraintViolation(f"unknown code family {head!r}")
+    return _FAMILIES[head](**{key: value(key) for key in keys})
 
 
 def spec_generator_text(ring: QuotientRing, spec: CodeSpec) -> str:
@@ -496,11 +510,8 @@ def spec_generator_text(ring: QuotientRing, spec: CodeSpec) -> str:
         return pw(spec.i)
     if isinstance(spec, Type1):
         return pw(spec.k)
+    head = (f"u{pw(spec.k)}" if spec.b.is_zero()
+            else f"{pw(spec.j)}b + u{pw(spec.k)}")
     if isinstance(spec, Type2):
-        kind = unit_kind(ring.field_quotient(), spec.b)
-        if kind == "zero":
-            return f"u{pw(spec.k)}"
-        return f"{pw(spec.j)}b + u{pw(spec.k)}"
-    kind = unit_kind(ring.field_quotient(), spec.b)
-    head = f"u{pw(spec.k)}" if kind == "zero" else f"{pw(spec.j)}b + u{pw(spec.k)}"
+        return head
     return f"<{head}, {pw(spec.k + spec.t)}>"

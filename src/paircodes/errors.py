@@ -82,16 +82,8 @@ class ExponentOutOfRange(PairCodeError):
 
 # --- computation outcomes -------------------------------------------------
 
-class Exhausted(PairCodeError):
-    """A full enumeration would exceed the word budget.
-
-    This is a normal outcome for large codes, not a bug; catch it and fall
-    back to sampling or to the closed-form route.
-    """
-
-
 class BudgetExceeded(PairCodeError):
-    """An exact answer was demanded but the budget only allows sampling."""
+    """An exact answer needs more codewords than the word budget allows."""
 
 
 class VerificationMismatch(PairCodeError):

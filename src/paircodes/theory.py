@@ -36,7 +36,6 @@ from .codes import (
     log_size,
     random_unit,
     spec_to_text,
-    unit_kind,
     validate_spec,
 )
 from .errors import (
@@ -141,42 +140,31 @@ def min_pair_distance_field(n: int, p: int, s: int,
     return v, BranchWitness("n=1 top-block", k, theta, v)
 
 
-def min_pair_distance_chain(ring: QuotientRing, spec: CodeSpec) -> int:
-    """Minimum pair distance of a code over the two-component ring.
+def _field_exponent(ring: QuotientRing, spec: CodeSpec) -> int:
+    """The field-quotient exponent whose code has the spec's pair distance.
 
-    Every case reduces to a field-quotient value: a principal chain-ring
-    code of exponent i is the full space in disguise for i <= p^s (distance
-    2) and u times the field code of exponent i - p^s beyond; the beta = 0
-    families reduce to the field exponent k (b = 0), p^s - j + k (Type2,
-    b a unit) or 2k + t - j (Type3, b a unit).
+    A principal chain-ring code of exponent i is the full space in disguise
+    for i <= p^s (exponent 0, distance 2) and u times the field code of
+    exponent i - p^s beyond; the beta = 0 families reduce to k (b = 0),
+    p^s - j + k (Type2, b a unit) or 2k + t - j (Type3, b a unit).
     """
-    validate_spec(ring, spec)
-    n, p, s = ring.n, ring.p, ring.s
-    ps = p ** s
+    if isinstance(spec, FieldPower):
+        return spec.i
+    ps = ring.p ** ring.s
     if isinstance(spec, ChainPrincipal):
-        if spec.i <= ps:
-            return 2
-        return min_pair_distance_field(n, p, s, spec.i - ps)[0]
-    if isinstance(spec, Type1):
-        return min_pair_distance_field(n, p, s, spec.k)[0]
-    fq = ring.field_quotient()
+        return max(spec.i - ps, 0)
+    if isinstance(spec, Type1) or spec.b.is_zero():
+        return spec.k
     if isinstance(spec, Type2):
-        if unit_kind(fq, spec.b) == "zero":
-            return min_pair_distance_field(n, p, s, spec.k)[0]
-        return min_pair_distance_field(n, p, s, ps - spec.j + spec.k)[0]
-    if isinstance(spec, Type3):
-        if unit_kind(fq, spec.b) == "zero":
-            return min_pair_distance_field(n, p, s, spec.k)[0]
-        return min_pair_distance_field(n, p, s, 2 * spec.k + spec.t - spec.j)[0]
-    raise ConstraintViolation(f"not a chain-ring family: {spec!r}")
+        return ps - spec.j + spec.k
+    return 2 * spec.k + spec.t - spec.j
 
 
 def min_pair_distance(ring: QuotientRing, spec: CodeSpec) -> int:
     """Closed-form minimum pair distance for any supported family."""
-    if isinstance(spec, FieldPower):
-        validate_spec(ring, spec)
-        return min_pair_distance_field(ring.n, ring.p, ring.s, spec.i)[0]
-    return min_pair_distance_chain(ring, spec)
+    validate_spec(ring, spec)
+    return min_pair_distance_field(ring.n, ring.p, ring.s,
+                                   _field_exponent(ring, spec))[0]
 
 
 @dataclass(frozen=True)
@@ -219,7 +207,7 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
     """
     if d_sp is None:
         d_sp = min_pair_distance(ring, spec)
-    alog = ring.base.gfp_dim if ring.is_chain else ring.m
+    alog = ring.base.gfp_dim
     clog = log_size(ring, spec)
     defect = (ring.N - d_sp + 2) * alog - clog
     return MdsVerdict(spec=spec, d_sp=d_sp, singleton_defect=defect,

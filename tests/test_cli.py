@@ -193,6 +193,10 @@ def test_out_file(tmp_path, capsys):
     (["build-code", *FIELD_RING, "--spec", "type1:k=1"], "BetaMismatch"),
     (["build-code", "--p", "3", "--s", "1", "--n", "3", "--alpha0", "2",
       "--spec", "field-power:i=1"], "ConstructionRefused"),
+    # wrong in two ways (b = 2 + x vanishes at alpha0 = 1, beta != 0): the
+    # record refuses b before the ring is consulted
+    (["build-code", "--p", "3", "--s", "2", "--n", "1", "--alpha0", "1",
+      "--beta", "1", "--spec", "type2:j=7,k=1,b=2,1"], "NotUnitNorZero"),
 ])
 def test_refusals_exit_2(argv, errtype, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -202,6 +206,14 @@ def test_refusals_exit_2(argv, errtype, capsys):
 
 def _ring(alpha0="2", *extra):
     return ["--p", "3", "--s", "1", "--n", "2", "--alpha0", alpha0, *extra]
+
+
+# Spec texts with a key unknown to the family or given twice.
+KEY_REPROS = [
+    (FIELD_RING, "field-power:i=2,zz=5"),
+    (CHAIN_B0, "type1:k=2,k=3"),
+    (CHAIN_B0, "type2:j=7,k=1,t=4,b=1"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -220,12 +232,17 @@ def _ring(alpha0="2", *extra):
     ["field-info", "--p", "3", "--n", "0"],
     *[["distance", *FIELD_RING, "--spec", "field-power:i=1",
        "--method", "brute", "--budget", b] for b in ("0", "-1", "-4096")],
+    *[["build-code", *ring, "--spec", spec]
+      for ring, spec in KEY_REPROS],
 ])
 def test_malformed_input_exits_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "InvalidValue"
+    expected = ("ConstraintViolation"
+                if argv[-1] in [spec for _, spec in KEY_REPROS]
+                else "InvalidValue")
+    assert json.loads(err)["error"]["type"] == expected
 
 
 # Subprocesses import the same paircodes tree as this process, whatever the

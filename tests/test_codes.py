@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from paircodes import codes
+from paircodes import codes, theory
 from paircodes.codes import (
     ChainPrincipal,
     ConstacyclicCode,
@@ -27,8 +27,8 @@ from paircodes.codes import (
 )
 from paircodes.errors import (
     BetaMismatch,
+    BudgetExceeded,
     ConstraintViolation,
-    Exhausted,
     NotUnitNorZero,
     RingMismatch,
     VerificationMismatch,
@@ -119,13 +119,13 @@ def test_enumeration_is_complete_and_distinct():
 def test_enumeration_budget():
     ring = QuotientRing(F3, 2, 1, 2)
     code = build_code(ring, FieldPower(1))
-    with pytest.raises(Exhausted):
+    with pytest.raises(BudgetExceeded):
         enumerate_codewords(code, budget=80)
-    # Exhausted must fire before any word is produced
+    # BudgetExceeded must fire before any word is produced
     gen = None
     try:
         gen = enumerate_codewords(code, budget=80)
-    except Exhausted:
+    except BudgetExceeded:
         assert gen is None
 
 
@@ -179,6 +179,65 @@ def test_spec_validation_errors():
         build_code(chain0, Type2(j=2, k=0, b=binomial_power(fq, 1)))
 
 
+def _count_unit_kind(monkeypatch) -> list:
+    calls = []
+
+    def counting(fq, b):
+        calls.append(b)
+        return unit_kind(fq, b)
+
+    for mod in (codes, theory):
+        if hasattr(mod, "unit_kind"):
+            monkeypatch.setattr(mod, "unit_kind", counting)
+    return calls
+
+
+def test_b_kind_is_decided_once_by_the_record(monkeypatch):
+    for ring in _small_rings():
+        if ring.beta != 0:
+            continue
+        specs = all_code_specs(ring, unit_samples=2, rng=random.Random(3))
+        assert any(isinstance(s, (Type2, Type3)) for s in specs)
+        calls = _count_unit_kind(monkeypatch)
+        for spec in specs:
+            theory.mds_verdict(ring, spec)
+            theory.min_pair_distance(ring, spec)
+            log_size(ring, spec)
+            build_code(ring, spec)
+            spec_generator_text(ring, spec)
+        assert calls == [], ring
+
+
+def test_records_refuse_b_neither_zero_nor_unit():
+    fq = QuotientRing(F3, 2, 1, 2, beta=0).field_quotient()
+    for nonunit in (binomial_power(fq, 1), binomial_power(fq, 2)):
+        with pytest.raises(NotUnitNorZero):
+            Type2(j=2, k=0, b=nonunit)
+        with pytest.raises(NotUnitNorZero):
+            Type3(j=1, k=0, t=2, b=nonunit)
+    # zero and units are accepted
+    Type2(j=2, k=0, b=fq.zero())
+    Type3(j=1, k=0, t=2, b=fq.one())
+
+
+def test_b_over_the_chain_quotient_is_refused(monkeypatch):
+    chain0 = QuotientRing(F3, 2, 1, 2, beta=0)
+    calls = _count_unit_kind(monkeypatch)
+    for b in (chain0.one(), chain0.zero(), chain0.times_u(
+            chain0.field_quotient().one())):
+        with pytest.raises(RingMismatch):
+            Type2(j=2, k=0, b=b)
+        with pytest.raises(RingMismatch):
+            Type3(j=1, k=0, t=2, b=b)
+    assert calls == []              # refused before unit_kind reads it
+    # a b over another field quotient is refused when checked against a ring
+    other = QuotientRing(F3, 1, 1, 1)
+    with pytest.raises(RingMismatch):
+        build_code(chain0, Type2(j=2, k=0, b=other.one()))
+    with pytest.raises(RingMismatch):
+        theory.min_pair_distance(chain0, Type3(j=1, k=0, t=2, b=other.one()))
+
+
 def test_unit_kind_and_inverse():
     ring = QuotientRing(F3, 2, 1, 2)
     assert unit_kind(ring, ring.zero()) == "zero"
@@ -229,6 +288,10 @@ def test_spec_text_roundtrip():
         spec_from_text("type9:k=1", chain0)
     with pytest.raises(ConstraintViolation):
         spec_from_text("type2:j=7,k=1", chain0)    # missing b
+    for text in ("type1:k=2,zz=5", "type1:k=2,k=3", "type2:j=7,k=1,t=4,b=1",
+                 "type3:j=5,k=2,t=4,t=4,b=0", "type2:b=1,j=7,k=1"):
+        with pytest.raises(ConstraintViolation):
+            spec_from_text(text, chain0)
 
 
 def test_spec_generator_text():

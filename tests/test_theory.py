@@ -34,7 +34,6 @@ from paircodes.theory import (
     mds_verdict,
     min_hamming_distance,
     min_pair_distance,
-    min_pair_distance_chain,
     min_pair_distance_field,
 )
 
@@ -143,33 +142,33 @@ def test_pair_vs_hamming_formula_relations():
             prev = d_sp
 
 
-def test_min_pair_distance_chain_beta_nonzero():
+def test_min_pair_distance_beta_nonzero():
     ring = QuotientRing(Field(3, 1), 1, 2, 1, beta=1)
     for i in range(10):
-        assert min_pair_distance_chain(ring, ChainPrincipal(i)) == 2
+        assert min_pair_distance(ring, ChainPrincipal(i)) == 2
     for r in range(1, 10):
-        assert min_pair_distance_chain(ring, ChainPrincipal(9 + r)) == \
+        assert min_pair_distance(ring, ChainPrincipal(9 + r)) == \
             min_pair_distance_field(1, 3, 2, r)[0]
 
 
-def test_min_pair_distance_chain_beta_zero():
+def test_min_pair_distance_beta_zero():
     ring = QuotientRing(Field(3, 1), 1, 2, 1, beta=0)
     fq = ring.field_quotient()
     one = fq.one()
     # the two refuted claims: both collapse to small actual distances
-    assert min_pair_distance_chain(ring, Type2(j=7, k=1, b=one)) == 4
+    assert min_pair_distance(ring, Type2(j=7, k=1, b=one)) == 4
     ring2 = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
-    assert min_pair_distance_chain(
+    assert min_pair_distance(
         ring2, Type2(j=5, k=0, b=ring2.field_quotient().one())) == 4
     # b = 0 falls back to the plain field value at k
-    assert min_pair_distance_chain(ring, Type2(j=7, k=1, b=fq.zero())) == \
+    assert min_pair_distance(ring, Type2(j=7, k=1, b=fq.zero())) == \
         min_pair_distance_field(1, 3, 2, 1)[0]
     # Type1 is the field value at k
     for k in range(10):
-        assert min_pair_distance_chain(ring, Type1(k)) == \
+        assert min_pair_distance(ring, Type1(k)) == \
             min_pair_distance_field(1, 3, 2, k)[0]
     # Type3 with unit b reads the field value at 2k + t - j
-    assert min_pair_distance_chain(ring, Type3(j=5, k=2, t=4, b=one)) == \
+    assert min_pair_distance(ring, Type3(j=5, k=2, t=4, b=one)) == \
         min_pair_distance_field(1, 3, 2, 2 * 2 + 4 - 5)[0]
 
 
