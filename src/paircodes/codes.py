@@ -244,11 +244,34 @@ def word_coords(w: QPoly) -> np.ndarray:
     return _gfp_digits(w.coeffs, w.ring.p, w.ring.base.gfp_dim).reshape(-1)
 
 
-def _times_lam(ring: QuotientRing) -> np.ndarray:
-    """The d x d block L with coords(lam * c) = coords(c) @ L (mod p)."""
-    base = ring.base
-    return _gfp_digits([base.mul(ring.lam, e) for e in base.gfp_basis()],
-                      ring.p, base.gfp_dim)
+def _gfp_values(digits, p: int, d: int) -> np.ndarray:
+    """Encoded coefficients of a coordinate row, d digits per coefficient:
+    the inverse of `_gfp_digits`."""
+    digits = np.asarray(digits, dtype=np.int64).reshape(-1, d)
+    return digits @ np.int64(p) ** np.arange(d, dtype=np.int64)
+
+
+def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
+    """The (N*d) x (N*d) matrix M with coords(f * g) = coords(f) @ M (mod p).
+
+    Row t*d + e is coords(p^e * x^t * g): the encoded int p^e is the e-th
+    GF(p)-basis element of the coefficient ring.  The d basis multiples of
+    g give a (d, N, d) digit array W.  Multiplying by x^t moves position j
+    to j + t and multiplies the t positions that wrap past N - 1 by lam, so
+    it is positions N - t .. 2N - t - 1 of [W @ L, W] along the position
+    axis, where L is the d x d block of multiplication by lam; one gather
+    takes all N shifts.
+    """
+    if g.ring != ring:
+        raise RingMismatch("generator lives in a different quotient")
+    base, p, N, d = ring.base, ring.p, ring.N, ring.base.gfp_dim
+    scalars = [p ** e for e in range(d)]
+    lam = _gfp_digits([base.mul(ring.lam, e) for e in scalars], p, d)
+    W = _gfp_digits([[base.mul(e, c) for c in g.coeffs] for e in scalars],
+                    p, d)
+    both = np.concatenate([W @ lam % p, W], axis=1)
+    shifts = N - np.arange(N)[:, None] + np.arange(N)
+    return both[:, shifts].transpose(1, 0, 2, 3).reshape(N * d, N * d)
 
 
 class ConstacyclicCode:
@@ -288,15 +311,8 @@ class ConstacyclicCode:
         return (np.array(digits, dtype=np.int64) @ rows) % self.ring.p
 
     def word_at(self, counter: int) -> QPoly:
-        return self.coords_to_word(self.coords_at(counter))
-
-    def coords_to_word(self, vec: Sequence[int]) -> QPoly:
-        base = self.ring.base
-        d = base.gfp_dim
-        cs = [base.gfp_from_coords([int(x) % self.ring.p
-                                    for x in vec[t * d:(t + 1) * d]])
-              for t in range(self.ring.N)]
-        return self.ring.poly(cs)
+        return self.ring.poly(_gfp_values(self.coords_at(counter), self.ring.p,
+                                          self.ring.base.gfp_dim))
 
     # -- membership -----------------------------------------------------------
 
@@ -333,27 +349,12 @@ def ideal_code(ring: QuotientRing,
                gens: Sequence[QPoly]) -> ConstacyclicCode:
     """The ideal generated by arbitrary elements, as a row-reduced basis.
 
-    Closure under multiplication by the whole quotient is obtained from the
-    base-ring scalars and the N cyclic-with-wrap shifts of each generator.
-    The d GF(p)-basis multiples of a generator give a (d, N, d) digit array
-    W.  Shifting by t moves position j to j + t and multiplies the t
-    positions that wrap past N - 1 by lam, so shift t is positions
-    N - t .. 2N - t - 1 of [W @ L, W] along the position axis; one gather
-    takes all N shifts, and one RREF reduces the rows of every generator.
+    The ideal is spanned over GF(p) by the rows of the multiplication
+    matrices of its generators; one RREF reduces them all.
     """
-    base, p, N, d = ring.base, ring.p, ring.N, ring.base.gfp_dim
-    scalars = base.gfp_basis()
-    lam = _times_lam(ring)
-    shifts = N - np.arange(N)[:, None] + np.arange(N)
-    rows = [np.zeros((0, N * d), dtype=np.int64)]
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("generator lives in a different quotient")
-        W = _gfp_digits([[base.mul(e, c) for c in g.coeffs] for e in scalars],
-                        p, d)
-        both = np.concatenate([W @ lam % p, W], axis=1)
-        rows.append(both[:, shifts].reshape(N * d, N * d))
-    basis, pivots = rref_mod_p(np.concatenate(rows), p)
+    rows = ([np.zeros((0, ring.N * ring.base.gfp_dim), dtype=np.int64)]
+            + [_multiples(ring, g) for g in gens])
+    basis, pivots = rref_mod_p(np.concatenate(rows), ring.p)
     return ConstacyclicCode(ring, None, basis, pivots)
 
 
@@ -384,10 +385,7 @@ def enumerate_codewords(code: ConstacyclicCode,
 
 def consta_shift_matrix(ring: QuotientRing) -> np.ndarray:
     """Matrix S with coords(x * w) = coords(w) @ S (mod p)."""
-    d, N = ring.base.gfp_dim, ring.N
-    S = np.eye(N * d, k=d, dtype=np.int64)
-    S[-d:, :d] = _times_lam(ring)
-    return S
+    return _multiples(ring, ring.monomial(1))
 
 
 def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:
@@ -402,25 +400,15 @@ def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:
 
 
 def unit_inverse(fq: QuotientRing, b: QPoly) -> QPoly:
-    """Inverse of a unit of the field quotient, by GF(p) linear algebra."""
+    """Inverse of a unit of the field quotient, by GF(p) linear algebra:
+    coords(x) @ M = coords(1) with M the multiplication matrix of b.  M is
+    invertible, so the RREF of [M^T | coords(1)] is [I | coords(x)]."""
     if unit_kind(fq, b) != "unit":
         raise NotUnitNorZero(f"{b!r} is not a unit of {fq!r}")
-    base, p, N = fq.field, fq.p, fq.N
-    cols = []
-    for t in range(N):
-        for e in base.gfp_basis():
-            cols.append(word_coords(qmul(b, fq.monomial(t, e))))
-    M = np.array(cols, dtype=np.int64).T  # M @ coords(g) = coords(b*g)
-    C = M.shape[0]
+    M = _multiples(fq, b).T
     rhs = word_coords(fq.one())
-    red, pivots = rref_mod_p(np.concatenate([M, rhs[:, None]], axis=1), p)
-    x = np.zeros(C, dtype=np.int64)
-    for r, c in zip(range(len(pivots)), pivots):
-        x[c] = red[r, C]
-    cs = [base.gfp_from_coords([int(v) for v in x[t * base.gfp_dim:
-                                                  (t + 1) * base.gfp_dim]])
-          for t in range(N)]
-    return fq.poly(cs)
+    red, _ = rref_mod_p(np.concatenate([M, rhs[:, None]], axis=1), fq.p)
+    return fq.poly(_gfp_values(red[:, -1], fq.p, fq.m))
 
 
 # --- textual parameter records ------------------------------------------------

@@ -291,12 +291,6 @@ class Field:
     def gfp_dim(self) -> int:
         return self.m
 
-    def gfp_from_coords(self, cs: Sequence[int]) -> int:
-        return self.from_coords(cs)
-
-    def gfp_basis(self) -> list[int]:
-        return list(self._pow_p)
-
     # -- range checks and text ------------------------------------------------
 
     def check_element(self, a: int) -> int:
@@ -349,9 +343,6 @@ class ChainRing:
     def b_of(self, e: int) -> int:
         return e // self.q
 
-    def embed(self, a: int) -> int:
-        return a
-
     def times_u(self, a: int) -> int:
         return self.q * a
 
@@ -397,15 +388,6 @@ class ChainRing:
     def gfp_dim(self) -> int:
         return 2 * self.field.m
 
-    def gfp_from_coords(self, cs: Sequence[int]) -> int:
-        m = self.field.m
-        return self.make(self.field.from_coords(cs[:m]),
-                         self.field.from_coords(cs[m:]))
-
-    def gfp_basis(self) -> list[int]:
-        base = self.field.gfp_basis()
-        return base + [self.q * t for t in base]
-
     # -- text ------------------------------------------------------------------
 
     def format_element(self, e: int) -> str:
@@ -428,15 +410,15 @@ class ChainRing:
         return f"{f.format_coeff(a)}+u{f.format_coeff(b)}"
 
     def parse_coeff(self, text: str) -> int:
-        text = text.strip()
-        a_txt, sep, b_txt = text.partition("u")
-        a_txt = a_txt.rstrip("+").strip()
-        if sep:
-            b = self.field.parse_coeff(b_txt.strip())
-        else:
-            b = 0
-        a = self.field.parse_coeff(a_txt) if a_txt else 0
-        return self.make(a, b)
+        """Read the forms `format_coeff` writes: "a", "ub" and "a+ub"."""
+        a_txt, sep, b_txt = text.strip().partition("u")
+        if not sep:
+            return self.field.parse_coeff(a_txt)
+        a_txt = a_txt.strip()
+        if a_txt and not a_txt.endswith("+"):
+            raise InvalidValue(f"malformed coefficient {text!r}")
+        a = self.field.parse_coeff(a_txt[:-1]) if a_txt else 0
+        return self.make(a, self.field.parse_coeff(b_txt))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChainRing) and self.field == other.field

@@ -107,26 +107,30 @@ class QuotientRing:
         return self.monomial(0)
 
     def monomial(self, j: int, coeff: int = 1) -> "QPoly":
+        """coeff * x^j for 0 <= j < N; other j are refused, not reduced."""
+        if not 0 <= j < self.N:
+            raise ExponentOutOfRange(
+                f"exponent {j} outside [0, {self.N}) for {self!r}")
         cs = [0] * self.N
-        cs[j % self.N] = coeff
+        cs[j] = coeff
         return self.poly(cs)
 
     def radical(self) -> "QPoly":
         """The binomial x^n - alpha0, embedded in the quotient."""
-        neg_a0 = self.field.neg(self.alpha0)
         cs = [0] * self.N
-        cs[0] = self.base.embed(neg_a0) if self.is_chain else neg_a0
+        cs[0] = self.field.neg(self.alpha0)
         cs[self.n] = 1
         return QPoly(self, tuple(cs))
 
     def embed(self, f: "QPoly") -> "QPoly":
-        """Lift a field-quotient polynomial into the two-component quotient."""
+        """Lift a field-quotient polynomial into the two-component quotient,
+        where a field element a is encoded as a + q*0 = a."""
         if not self.is_chain:
             raise RingMismatch("embed targets the two-component quotient")
         if f.ring != self.field_quotient():
             raise RingMismatch("embed expects a polynomial over the companion "
                                "field quotient")
-        return QPoly(self, tuple(self.base.embed(c) for c in f.coeffs))
+        return QPoly(self, f.coeffs)
 
     def times_u(self, f: "QPoly") -> "QPoly":
         """Lift a field-quotient polynomial to u times itself."""

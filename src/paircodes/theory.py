@@ -185,17 +185,6 @@ class MdsVerdict:
         }
 
 
-def _is_trivial(ring: QuotientRing, spec: CodeSpec) -> bool:
-    ps = ring.p ** ring.s
-    if isinstance(spec, FieldPower):
-        return spec.i in (0, ps)
-    if isinstance(spec, ChainPrincipal):
-        return spec.i in (0, 2 * ps)
-    if isinstance(spec, Type1):
-        return spec.k in (0, ps)
-    return False
-
-
 def mds_verdict(ring: QuotientRing, spec: CodeSpec,
                 d_sp: int | None = None) -> MdsVerdict:
     """Singleton gap of the code, in exact integer log_p units.
@@ -212,7 +201,7 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
     defect = (ring.N - d_sp + 2) * alog - clog
     return MdsVerdict(spec=spec, d_sp=d_sp, singleton_defect=defect,
                       is_mds=(defect == 0),
-                      trivial=_is_trivial(ring, spec))
+                      trivial=clog in (0, ring.N * alog))
 
 
 def all_code_specs(ring: QuotientRing, unit_samples: int = 3,

@@ -216,7 +216,9 @@ def test_criterion_8_structural_invariants_hold_for_every_code():
     nrng = np.random.default_rng(2024)
     for ring in grid_rings():
         ps = ring.p ** ring.s
-        S = consta_shift_matrix(ring)
+        # float64 products are exact here: entries are below p <= 5 and a
+        # sum has at most N*d = 150 terms, far below 2^53
+        S = consta_shift_matrix(ring).astype(np.float64)
         prev = None
         for i in range(ps + 1):
             spec = FieldPower(i)
@@ -225,9 +227,9 @@ def test_criterion_8_structural_invariants_hold_for_every_code():
             if code.dim_p:
                 digits = nrng.integers(0, ring.p,
                                        size=(1000, code.dim_p))
-                words = (digits @ code.basis) % ring.p
+                words = (digits.astype(np.float64) @ code.basis) % ring.p
             else:
-                words = np.zeros((1000, code.ncols), dtype=np.int64)
+                words = np.zeros((1000, code.ncols))
             shifted = (words @ S) % ring.p
             assert bool(code.contains_batch(shifted).all()), (ring, i)
             if i < ps:     # the zero code reports 0 by convention

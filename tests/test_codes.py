@@ -245,12 +245,16 @@ def test_unit_kind_and_inverse():
     assert unit_kind(ring, binomial_power(ring, 1)) == "neither"
     assert unit_kind(ring, binomial_power(ring, 2)) == "neither"
     rng = random.Random(9)
-    for _ in range(10):
-        b = random_unit(ring, rng)
-        binv = unit_inverse(ring, b)
-        assert qmul(b, binv) == ring.one()
-    with pytest.raises(NotUnitNorZero):
-        unit_inverse(ring, binomial_power(ring, 1))
+    for fq in (ring,
+               QuotientRing(Field(3, 2), 1, 2, 5),      # GF(9), N = 9
+               QuotientRing(Field(2, 2), 3, 2, 2),      # GF(4), N = 12
+               QuotientRing(F3, 1, 3, 1)):              # GF(3), N = 27
+        for _ in range(10):
+            b = random_unit(fq, rng)
+            binv = unit_inverse(fq, b)
+            assert qmul(b, binv) == fq.one(), (fq, b)
+        with pytest.raises(NotUnitNorZero):
+            unit_inverse(fq, binomial_power(fq, 1))
 
 
 def test_random_unit_deterministic():
@@ -323,10 +327,21 @@ def _reference_ideal_rows(ring, gens):
     for g in gens:
         w = g
         for _ in range(ring.N):
-            for e in ring.base.gfp_basis():
+            for e in _reference_scalars(ring):
                 rows.append(_reference_coords(w.scalar_mul(e)))
             w = consta_shift(w)
     return np.array(rows)
+
+
+def _reference_scalars(ring):
+    """A GF(p)-basis of the coefficient ring, built from field digits: the
+    unit vectors of GF(p^m), then u times each of them."""
+    field = ring.field
+    units = [field.from_coords([0] * e + [1]) for e in range(field.m)]
+    if not ring.is_chain:
+        return units
+    return ([ring.base.make(a, 0) for a in units]
+            + [ring.base.make(0, a) for a in units])
 
 
 def test_ideal_code_matches_qpoly_reference():
@@ -369,6 +384,25 @@ def test_consta_shift_matrix_agrees_with_shift():
             assert np.array_equal(lhs, rhs), ring
 
 
+def test_multiples_is_multiplication_by_g():
+    # coords(f * g) = coords(f) @ M, checked against qmul on random f and g
+    rng = random.Random(13)
+    for ring in _small_rings() + list(grid_rings()):
+        size = ring.base.size if ring.is_chain else ring.field.q
+        for _ in range(3):
+            g = ring.poly([rng.randrange(size) for _ in range(ring.N)])
+            M = codes._multiples(ring, g)
+            assert M.shape == (ring.N * ring.base.gfp_dim,) * 2, ring
+            for _ in range(5):
+                f = ring.poly([rng.randrange(size) for _ in range(ring.N)])
+                lhs = (_reference_coords(f) @ M) % ring.p
+                assert np.array_equal(lhs, _reference_coords(qmul(f, g))), \
+                    (ring, f, g)
+    other = QuotientRing(F3, 1, 1, 2)
+    with pytest.raises(RingMismatch):
+        codes._multiples(_small_rings()[0], other.one())
+
+
 def test_rref():
     rng = random.Random(17)
     for p in (2, 3, 5):
@@ -397,7 +431,7 @@ def test_same_rowspace_on_different_generating_sets():
         rows = []
         w = qmul(g, unit)
         for _ in range(ring.N):
-            for e in ring.base.gfp_basis():
+            for e in _reference_scalars(ring):
                 rows.append(word_coords(w.scalar_mul(e)))
             w = consta_shift(w)
         basis, piv = rref_mod_p(np.array(rows), ring.p)

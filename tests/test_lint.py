@@ -34,3 +34,24 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(defined - raised) == []
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level _name function that nothing in src refers to is dead.
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= {f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used |= {f"{path.stem}.{node.id}"}
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = [name for name in sorted(defined)
+            if name not in used and name.split(".")[1] not in used]
+    assert dead == []

@@ -77,6 +77,16 @@ def test_x_to_the_N_wraps_to_lambda():
         assert w.coeffs == tuple(expect)
 
 
+def test_monomial_refuses_exponents_outside_the_quotient():
+    # over GF(3)[x]/(x^3 - 2), x^3 = 2 and x^-1 = 2x^2: neither is x^(j mod 3)
+    ring = QuotientRing(Field(3, 1), 1, 1, 2)
+    assert ring.lam == 2
+    assert ring.monomial(2, 2).coeffs == (0, 0, 2)
+    for j in (3, -1, 7):
+        with pytest.raises(ExponentOutOfRange):
+            ring.monomial(j)
+
+
 def test_consta_shift_is_multiplication_by_x():
     rng = random.Random(0)
     for ring in _rings():
@@ -216,6 +226,28 @@ def test_poly_text_roundtrip():
         chain.poly([chain.base.size])              # coefficient out of range
     with pytest.raises(InvalidValue):
         chain.parse_poly("2+u3")                   # digit 3 is not in GF(3)
+
+
+def test_both_quotients_refuse_the_same_malformed_coefficients():
+    f3 = Field(3, 1)
+    field_q = QuotientRing(f3, 1, 1, 2)
+    chain = QuotientRing(f3, 1, 1, 2, beta=0)
+    for bad in ("", "+", " + ", "2+", "2++", "x", "3", "-1"):
+        for ring in (field_q, chain):
+            with pytest.raises(InvalidValue):
+                ring.parse_poly(f"1,{bad},2")
+            with pytest.raises(InvalidValue):
+                ring.base.parse_coeff(bad)
+    for bad in ("u", "+u1", "2u1", "2+u", "2+u1+", "1+2+u1"):
+        with pytest.raises(InvalidValue):
+            chain.base.parse_coeff(bad)
+    for ring in (field_q, chain):
+        size = ring.base.size if ring.is_chain else ring.field.q
+        for c in range(size):
+            text = ring.base.format_coeff(c)
+            assert ring.base.parse_coeff(text) == c
+            assert ring.base.parse_coeff(f" {text} ") == c
+    assert chain.base.parse_coeff("2 + u1") == chain.base.make(2, 1)
 
 
 def test_embed_and_times_u():

@@ -185,6 +185,18 @@ def test_mds_verdicts_field():
     assert mds_set == {1, 2, 4, 7}
 
 
+def test_trivial_means_the_zero_code_or_the_full_space():
+    # read off the built code's rank, not the classified size
+    f3 = Field(3, 1)
+    for ring in (QuotientRing(f3, 2, 1, 2), QuotientRing(f3, 1, 2, 1, beta=1),
+                 QuotientRing(Field(2, 1), 1, 2, 1, beta=0)):
+        for spec in all_code_specs(ring, unit_samples=1,
+                                   rng=random.Random(3)):
+            code = build_code(ring, spec)
+            assert mds_verdict(ring, spec).trivial == \
+                (code.dim_p in (0, code.ncols)), (ring, spec)
+
+
 def test_mds_classify_chain_beta_nonzero_only_trivial():
     for p, beta in [(2, 1), (3, 1), (3, 2)]:
         field = Field(p, 1)
