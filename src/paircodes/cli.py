@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -107,7 +108,9 @@ def _ring_config(ring: QuotientRing) -> dict:
 
 
 def _emit(config: dict, results: list, out) -> None:
-    """Write the JSON envelope shared by every command."""
+    """Write the JSON envelope shared by every command.  It is streamed:
+    rendering it whole first would hold a second copy of the largest
+    envelopes (about 1.2 MB for `scan mds`) in memory."""
     json.dump({"config": config, "results": results, "version": __version__},
               out, indent=2, sort_keys=True)
     out.write("\n")
@@ -244,7 +247,10 @@ def cmd_tables(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` shares it."""
     ap = argparse.ArgumentParser(
         prog="paircodes",
         description="Constacyclic codes over GF(p^m) and GF(p^m)+uGF(p^m): "

@@ -100,11 +100,19 @@ CodeSpec = Union[FieldPower, ChainPrincipal, Type1, Type2, Type3]
 def unit_kind(fq: QuotientRing, b: QPoly) -> str:
     """Classify b as "zero", "unit" or "neither" in the field quotient.
 
-    b is a unit exactly when it is nonzero modulo the radical generator;
-    folding x^n to alpha0 computes that remainder in one pass.
+    Each distinct b is decided once per quotient and remembered there.
     """
     if b.ring != fq:
         raise RingMismatch("b must live in the companion field quotient")
+    kind = fq._unit_kinds.get(b.coeffs)
+    if kind is None:
+        kind = fq._unit_kinds[b.coeffs] = _fold_kind(fq, b)
+    return kind
+
+
+def _fold_kind(fq: QuotientRing, b: QPoly) -> str:
+    """b is a unit exactly when it is nonzero modulo the radical generator;
+    folding x^n to alpha0 computes that remainder in one pass."""
     if b.is_zero():
         return "zero"
     field, n, a0 = fq.field, fq.n, fq.alpha0
@@ -192,6 +200,11 @@ def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
 def log_size(ring: QuotientRing, spec: CodeSpec) -> int:
     """log_p of the code's cardinality, from the classification."""
     validate_spec(ring, spec)
+    return _log_size(ring, spec)
+
+
+def _log_size(ring: QuotientRing, spec: CodeSpec) -> int:
+    """`log_size` of a spec already checked by `validate_spec`."""
     m, n, ps = ring.m, ring.n, ring.p ** ring.s
     if isinstance(spec, FieldPower):
         return m * (ring.N - n * spec.i)
@@ -434,11 +447,15 @@ def spec_to_text(spec: CodeSpec) -> str:
 
 
 def _poly_text_short(f: QPoly) -> str:
-    text = f.ring.format_poly(f)
-    parts = text.split(",")
-    while len(parts) > 1 and parts[-1] == "0":
-        parts.pop()
-    return ",".join(parts)
+    """f's text without trailing "0" coefficients, made once per quotient."""
+    texts = f.ring._short_texts
+    text = texts.get(f.coeffs)
+    if text is None:
+        parts = f.ring.format_poly(f).split(",")
+        while len(parts) > 1 and parts[-1] == "0":
+            parts.pop()
+        text = texts[f.coeffs] = ",".join(parts)
+    return text
 
 
 _FAMILIES = {"field-power": FieldPower, "chain": ChainPrincipal,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -53,6 +54,17 @@ def parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise InvalidValue(f"not an integer: {text!r}") from None
+
+
+def as_int(value) -> int:
+    """`value` as an int.  Python and numpy integers are read; bools, floats,
+    text and anything else are refused, never truncated."""
+    if isinstance(value, bool):
+        raise InvalidValue(f"not an integer: {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidValue(f"not an integer: {value!r}") from None
 
 
 def prime_factors(x: int) -> list[int]:
@@ -176,7 +188,7 @@ class Field:
         if modulus is None:
             modulus = _smallest_irreducible(p, m)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(as_int(c) for c in modulus)
             if any(not 0 <= c < p for c in modulus):
                 raise InvalidValue(
                     f"modulus digits must lie in [0, {p}), got {modulus}")
@@ -233,7 +245,7 @@ class Field:
 
     def from_coords(self, cs: Iterable[int]) -> int:
         """The element with base-p digits `cs`, constant term first."""
-        cs = [int(c) for c in cs]
+        cs = [as_int(c) for c in cs]
         for c in cs:
             if not 0 <= c < self.p:
                 raise InvalidValue(
@@ -395,9 +407,10 @@ class ChainRing:
         return f"{f.format_element(self.a_of(e))}|{f.format_element(self.b_of(e))}"
 
     def parse_element(self, text: str) -> int:
-        a, _, b = text.partition("|")
+        """Read "a" or "a|b"; an empty a- or b-part is refused."""
+        a, sep, b = text.partition("|")
         fa = self.field.parse_element(a)
-        fb = self.field.parse_element(b) if b else 0
+        fb = self.field.parse_element(b) if sep else 0
         return self.make(fa, fb)
 
     def format_coeff(self, e: int) -> str:

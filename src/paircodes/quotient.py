@@ -31,7 +31,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .galois import ChainRing, Field, binomial_irreducible
+from .galois import ChainRing, Field, as_int, binomial_irreducible
 
 CoefficientRing = Union[Field, ChainRing]
 
@@ -68,6 +68,10 @@ class QuotientRing:
             self.lam = self.base.make(self.alpha, self.beta)
         self._binom_squares: dict[int, QPoly] = {}
         self._field_quotient: QuotientRing | None = None
+        # Facts about a residue b, keyed by b.coeffs: unit_kind's verdict
+        # and the short text of spec_to_text (both in codes).
+        self._unit_kinds: dict[tuple[int, ...], str] = {}
+        self._short_texts: dict[tuple[int, ...], str] = {}
 
     @property
     def is_chain(self) -> bool:
@@ -89,7 +93,7 @@ class QuotientRing:
     # -- polynomial constructors --------------------------------------------
 
     def poly(self, coeffs: Iterable[int]) -> "QPoly":
-        cs = [int(c) for c in coeffs]
+        cs = [as_int(c) for c in coeffs]
         if len(cs) > self.N:
             raise RingMismatch(
                 f"{len(cs)} coefficients for a length-{self.N} quotient")

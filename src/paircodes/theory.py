@@ -31,6 +31,7 @@ from .codes import (
     Type1,
     Type2,
     Type3,
+    _log_size,
     build_code,
     check_budget,
     log_size,
@@ -194,10 +195,12 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
     defect 0.  Full spaces and zero codes satisfy the bound degenerately
     and are flagged trivial.
     """
+    validate_spec(ring, spec)
     if d_sp is None:
-        d_sp = min_pair_distance(ring, spec)
+        d_sp = min_pair_distance_field(ring.n, ring.p, ring.s,
+                                       _field_exponent(ring, spec))[0]
     alog = ring.base.gfp_dim
-    clog = log_size(ring, spec)
+    clog = _log_size(ring, spec)
     defect = (ring.N - d_sp + 2) * alog - clog
     return MdsVerdict(spec=spec, d_sp=d_sp, singleton_defect=defect,
                       is_mds=(defect == 0),

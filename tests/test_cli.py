@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import paircodes
-from paircodes import __version__
+from paircodes import __version__, cli
 from paircodes.cli import main
 
 FIELD_RING = ["--p", "3", "--s", "1", "--n", "2", "--alpha0", "2"]
@@ -168,6 +168,44 @@ def test_tables_deterministic_across_runs(capsys):
     _, out2, _ = run_cli(
         ["tables", *CHAIN_B0, "--format", "json", "--seed", "7"], capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["--help"],
+    ["tables", "--p", "3"],                    # usage error: missing options
+    ["field-info", "--p", "4"],                # PairCodeError: NotPrime
+])
+def test_same_request_twice_in_one_process(argv, capsys):
+    def once():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = once()
+    assert first[0] in (0, 2) and first[1] + first[2]
+    assert once() == first
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_warm_parser_and_ring_give_the_same_output(monkeypatch, capsys):
+    # A ring memoizes facts about each b; a stale or crossed memo would
+    # change these outputs when the ring is reused.
+    def requests(seed):
+        return [["scan", "mds", *CHAIN_B0, "--seed", seed],
+                ["tables", *CHAIN_B0, "--format", "json", "--seed", seed]]
+
+    cli.make_parser.cache_clear()
+    fresh = [run_cli(argv, capsys) for argv in requests("5")]
+    ring = cli._ring_from(cli.make_parser().parse_args(requests("5")[0]))
+    monkeypatch.setattr(cli, "_ring_from", lambda args: ring)
+    for argv in requests("6"):                 # other units warm the memos
+        run_cli(argv, capsys)
+    for _ in range(2):
+        assert [run_cli(argv, capsys) for argv in requests("5")] == fresh
 
 
 def test_out_file(tmp_path, capsys):

@@ -208,6 +208,52 @@ def test_b_kind_is_decided_once_by_the_record(monkeypatch):
         assert calls == [], ring
 
 
+def test_each_b_is_folded_and_formatted_once_per_quotient(monkeypatch):
+    folded, formatted = [], []
+
+    def fold(fq, b):
+        folded.append((fq, b.coeffs))
+        return fold_kind(fq, b)
+
+    def format_poly(fq, f):
+        formatted.append((fq, f.coeffs))
+        return format_text(fq, f)
+
+    fold_kind, format_text = codes._fold_kind, QuotientRing.format_poly
+    monkeypatch.setattr(codes, "_fold_kind", fold)
+    monkeypatch.setattr(QuotientRing, "format_poly", format_poly)
+    for ring in _small_rings():
+        if ring.beta != 0:
+            continue
+        fq = ring.field_quotient()
+        specs = all_code_specs(ring, unit_samples=3, rng=random.Random(5))
+        theory.mds_classify(ring, unit_samples=3, rng=random.Random(5))
+        for spec in specs:
+            spec_to_text(spec)
+        bs = {s.b.coeffs for s in specs if isinstance(s, (Type2, Type3))}
+        assert len(bs) >= 2, ring
+        assert bs <= {c for r, c in folded if r is fq}
+        assert {c for r, c in formatted if r is fq} == bs
+    assert len(folded) == len(set(folded))
+    assert len(formatted) == len(set(formatted))
+
+
+def test_b_facts_are_kept_per_quotient():
+    # The same coefficients over GF(3) and GF(9): x - 1 is not a unit
+    # where alpha0 = 1, and x + 2 is a unit where alpha0 = 2 + y.
+    fq3 = QuotientRing(F3, 1, 1, 1)
+    fq9 = QuotientRing(Field(3, 2), 1, 1, 5)
+    b3, b9 = fq3.poly([2, 1]), fq9.poly([2, 1])
+    for _ in range(2):
+        assert unit_kind(fq3, b3) == "neither"
+        assert unit_kind(fq9, b9) == "unit"
+        assert codes._poly_text_short(b3) == "2,1"
+        assert codes._poly_text_short(b9) == "2.0,1.0,0.0"
+        assert spec_to_text(Type2(2, 0, b9)) == "type2:j=2,k=0,b=2.0,1.0,0.0"
+    with pytest.raises(NotUnitNorZero):
+        Type2(2, 0, b3)
+
+
 def test_records_refuse_b_neither_zero_nor_unit():
     fq = QuotientRing(F3, 2, 1, 2, beta=0).field_quotient()
     for nonunit in (binomial_power(fq, 1), binomial_power(fq, 2)):

@@ -302,6 +302,10 @@ def test_chain_ring_text_forms():
             f9.parse_element(bad)
     with pytest.raises(InvalidValue):
         R.parse_coeff("2.1+u0.3")
+    for bad in ("2|", "2,1|", "|1", "|", "2|1|0"):    # a part empty or malformed
+        with pytest.raises(InvalidValue):
+            R.parse_element(bad)
+    assert R1.parse_element("2") == R1.parse_element("2|0") == 2
     with pytest.raises(InvalidValue):
         Field(3, 1).from_coords([7])
     with pytest.raises(InvalidValue):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from paircodes.errors import (
@@ -226,6 +227,22 @@ def test_poly_text_roundtrip():
         chain.poly([chain.base.size])              # coefficient out of range
     with pytest.raises(InvalidValue):
         chain.parse_poly("2+u3")                   # digit 3 is not in GF(3)
+
+
+def test_coefficients_must_be_integers():
+    ring = QuotientRing(Field(3, 1), 1, 1, 2)
+    f9 = Field(3, 2)
+    for bad in ([2.7, True], [1.9, True], [1.0], [True], ["1"], [None],
+                [np.float64(1)], [np.bool_(True)]):
+        with pytest.raises(InvalidValue):
+            ring.poly(bad)
+        with pytest.raises(InvalidValue):
+            f9.from_coords(bad)
+        with pytest.raises(InvalidValue):
+            Field(3, 1, bad + [1])                 # as modulus digits
+    # word_at and unit_inverse pass numpy int64 arrays
+    assert ring.poly(np.array([2, 1], dtype=np.int64)) == ring.poly([2, 1])
+    assert f9.from_coords(np.array([1, 2], dtype=np.int64)) == 7
 
 
 def test_both_quotients_refuse_the_same_malformed_coefficients():
