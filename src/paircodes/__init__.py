@@ -27,6 +27,7 @@ from .codes import (
     Type1,
     Type2,
     Type3,
+    all_code_specs,
     build_code,
     enumerate_codewords,
     generators,
@@ -56,7 +57,6 @@ from .theory import (
     MdsVerdict,
     ScanEntry,
     ScanReport,
-    all_code_specs,
     binomial_power_weight,
     consistency_scan,
     exponent_interval,

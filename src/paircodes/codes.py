@@ -3,18 +3,19 @@
 A code here is an ideal of a :class:`~paircodes.quotient.QuotientRing`,
 described by one of five parameter records:
 
-* ``FieldPower(i)``      -- <(x^n-a0)^i> over the field, 0 <= i <= p^s.
+* ``FieldPower(i)``      -- <(x^n-a0)^i> over the field.
 * ``ChainPrincipal(i)``  -- <(x^n-a0)^i> over the two-component ring with
-  beta != 0 (a chain ring), 0 <= i <= 2*p^s.
+  beta != 0 (a chain ring).
 * ``Type1(k)``           -- <(x^n-a0)^k> over the ring with beta = 0.
-* ``Type2(j, k, b)``     -- <(x^n-a0)^j b(x) + u (x^n-a0)^k>, beta = 0, with
-  b zero or a unit, 0 <= k <= p^s - 1 and ceil((p^s+k)/2) <= j <= p^s - 1.
+* ``Type2(j, k, b)``     -- <(x^n-a0)^j b(x) + u (x^n-a0)^k>, beta = 0.
 * ``Type3(j, k, t, b)``  -- <(x^n-a0)^j b(x) + u (x^n-a0)^k, (x^n-a0)^(k+t)>,
-  beta = 0, with 0 <= k <= p^s - 2, 1 <= t <= p^s - k - 1 and
-  k + ceil(t/2) <= j <= k + t.
+  beta = 0.
 
-A Type2 or Type3 record refuses, when it is made, a b that is neither zero
-nor a unit of its field quotient.
+The families each kind of ring admits, and the range of every key, are
+written once, in the tables `_FIELD_CODES`, `_CHAIN_CODES` and
+`_BETA0_CODES`: `validate_spec` checks a record against them and
+`all_code_specs` enumerates them.  A Type2 or Type3 record refuses, when
+it is made, a b that is neither zero nor a unit of its field quotient.
 
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
 echelon form.  Codewords are laid out position-major: position t of a word
@@ -40,15 +41,16 @@ from .errors import (
     RingMismatch,
     VerificationMismatch,
 )
-from .galois import parse_int
+from .galois import as_int, parse_int
 from .quotient import QPoly, QuotientRing, binomial_power, qmul
 
 DEFAULT_BUDGET = 1 << 21
 
 
 def check_budget(budget: int) -> None:
-    """Refuse a word budget that would allow no codeword at all."""
-    if budget < 1:
+    """Refuse a word budget that is not an integer or would allow no
+    codeword at all."""
+    if as_int(budget) < 1:
         raise InvalidValue(f"the budget must be at least 1, got {budget}")
 
 
@@ -96,6 +98,33 @@ class Type3:
 
 CodeSpec = Union[FieldPower, ChainPrincipal, Type1, Type2, Type3]
 
+_FAMILIES = {"field-power": FieldPower, "chain": ChainPrincipal,
+             "type1": Type1, "type2": Type2, "type3": Type3}
+# Each family's keys in field order, the order of its text form.
+_FIELDS = {family: tuple(f.name for f in fields(family))
+           for family in _FAMILIES.values()}
+
+# The records each kind of ring admits (Dinh, J. Algebra 324 (2010)): each
+# family's integer keys in enumeration order, every one with the bounds
+# (lo, hi) of its range as a function of p^s and the keys before it.
+_FIELD_CODES = {FieldPower: (("i", lambda ps: (0, ps)),)}
+_CHAIN_CODES = {ChainPrincipal: (("i", lambda ps: (0, 2 * ps)),)}
+_BETA0_CODES = {
+    Type1: (("k", lambda ps: (0, ps)),),
+    Type2: (("k", lambda ps: (0, ps - 1)),
+            ("j", lambda ps, k: (-(-(ps + k) // 2), ps - 1))),
+    Type3: (("k", lambda ps: (0, ps - 2)),
+            ("t", lambda ps, k: (1, ps - k - 1)),
+            ("j", lambda ps, k, t: (k + -(-t // 2), k + t))),
+}
+
+
+def _admitted(ring: QuotientRing) -> dict:
+    """The table of the families `ring` admits."""
+    if not ring.is_chain:
+        return _FIELD_CODES
+    return _CHAIN_CODES if ring.beta != 0 else _BETA0_CODES
+
 
 def unit_kind(fq: QuotientRing, b: QPoly) -> str:
     """Classify b as "zero", "unit" or "neither" in the field quotient.
@@ -127,59 +156,67 @@ def _fold_kind(fq: QuotientRing, b: QPoly) -> str:
 def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
     """Check a parameter record against its admissible range for the ring.
 
-    Whether b is zero or a unit is checked when a Type2/Type3 record is
-    made; here b only has to live in the ring's field quotient.
+    The family must be one the ring admits and each integer key must lie in
+    its range in that family's table.  Whether b is zero or a unit is
+    checked when a Type2/Type3 record is made; here b only has to live in
+    the ring's field quotient.
+    """
+    families = _admitted(ring)
+    ranges = families.get(type(spec))
+    if ranges is None:
+        if type(spec) not in _FIELDS:
+            raise TypeError(f"not a code parameter record: {spec!r}")
+        raise BetaMismatch(
+            f"{type(spec).__name__} codes are not admitted over {ring!r}, "
+            f"which admits {', '.join(f.__name__ for f in families)}")
+    ps = ring.p ** ring.s
+    before: list[int] = []
+    for key, bounds in ranges:
+        value = as_int(getattr(spec, key))
+        lo, hi = bounds(ps, *before)
+        if not lo <= value <= hi:
+            need = f"need {lo} <= {key} <= {hi}"
+            if before:
+                need += " for " + ", ".join(
+                    f"{k}={v}" for (k, _), v in zip(ranges, before))
+            raise ConstraintViolation(f"{need}, got {key}={value}")
+        before.append(value)
+    b = getattr(spec, "b", None)
+    if b is not None and b.ring != ring.field_quotient():
+        raise RingMismatch("b must live in the companion field quotient")
+
+
+def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
+                   rng: random.Random | None = None) -> list[CodeSpec]:
+    """Every admissible parameter record for the ring, in a fixed order:
+    the families and their keys as the ring's table lists them.
+
+    For the families with a free polynomial b, the zero choice is always
+    included plus `unit_samples` random units drawn from `rng` (seeded
+    deterministically when omitted); b varies fastest.
     """
     ps = ring.p ** ring.s
-    if isinstance(spec, FieldPower):
-        if ring.is_chain:
-            raise BetaMismatch("FieldPower codes live over the plain field")
-        if not 0 <= spec.i <= ps:
-            raise ConstraintViolation(f"need 0 <= i <= {ps}, got i={spec.i}")
-        return
-    if not ring.is_chain:
-        raise BetaMismatch(f"{type(spec).__name__} codes need the "
-                           "two-component coefficient ring")
-    if isinstance(spec, ChainPrincipal):
-        if ring.beta == 0:
-            raise BetaMismatch("ChainPrincipal needs beta != 0; with beta = 0 "
-                               "use Type1/Type2/Type3")
-        if not 0 <= spec.i <= 2 * ps:
-            raise ConstraintViolation(
-                f"need 0 <= i <= {2 * ps}, got i={spec.i}")
-        return
-    if ring.beta != 0:
-        raise BetaMismatch(f"{type(spec).__name__} needs beta = 0; with "
-                           "beta != 0 use ChainPrincipal")
-    if isinstance(spec, Type1):
-        if not 0 <= spec.k <= ps:
-            raise ConstraintViolation(f"need 0 <= k <= {ps}, got k={spec.k}")
-    elif isinstance(spec, Type2):
-        if not 0 <= spec.k <= ps - 1:
-            raise ConstraintViolation(
-                f"need 0 <= k <= {ps - 1}, got k={spec.k}")
-        lo = -(-(ps + spec.k) // 2)
-        if not lo <= spec.j <= ps - 1:
-            raise ConstraintViolation(
-                f"need {lo} <= j <= {ps - 1} for k={spec.k}, got j={spec.j}")
-    elif isinstance(spec, Type3):
-        if not 0 <= spec.k <= ps - 2:
-            raise ConstraintViolation(
-                f"need 0 <= k <= {ps - 2}, got k={spec.k}")
-        if not 1 <= spec.t <= ps - spec.k - 1:
-            raise ConstraintViolation(
-                f"need 1 <= t <= {ps - spec.k - 1} for k={spec.k}, "
-                f"got t={spec.t}")
-        lo = spec.k + (-(-spec.t // 2))
-        if not lo <= spec.j <= spec.k + spec.t:
-            raise ConstraintViolation(
-                f"need {lo} <= j <= {spec.k + spec.t} for k={spec.k}, "
-                f"t={spec.t}, got j={spec.j}")
-    else:
-        raise TypeError(f"not a code parameter record: {spec!r}")
-    if (not isinstance(spec, Type1)
-            and spec.b.ring != ring.field_quotient()):
-        raise RingMismatch("b must live in the companion field quotient")
+    bs = None
+    out: list[CodeSpec] = []
+    for family, ranges in _admitted(ring).items():
+        rows = [()]
+        for _, bounds in ranges:     # nested loops, the last key fastest
+            rows = [row + (value,) for row in rows
+                    for lo, hi in [bounds(ps, *row)]
+                    for value in range(lo, hi + 1)]
+        keys = [key for key, _ in ranges]
+        for row in rows:
+            named = dict(zip(keys, row))
+            if "b" not in _FIELDS[family]:
+                out.append(family(**named))
+                continue
+            if bs is None:
+                fq = ring.field_quotient()
+                rng = random.Random(0) if rng is None else rng
+                bs = [fq.zero()] + [random_unit(fq, rng)
+                                    for _ in range(unit_samples)]
+            out += [family(**named, b=b) for b in bs]
+    return out
 
 
 def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
@@ -426,24 +463,25 @@ def unit_inverse(fq: QuotientRing, b: QPoly) -> QPoly:
 
 # --- textual parameter records ------------------------------------------------
 
+# Each family's text form, e.g. "type2:j={0.j},k={0.k},b={b}".
+_FORMATS = {family: f"{head}:" + ",".join(
+                "b={b}" if key == "b" else f"{key}={{0.{key}}}"
+                for key in _FIELDS[family])
+            for head, family in _FAMILIES.items()}
+
+
 def spec_to_text(spec: CodeSpec) -> str:
-    """Compact text form, e.g. "field-power:i=2" or "type2:j=7,k=1,b=1".
+    """Compact text form, e.g. "field-power:i=2" or "type2:j=7,k=1,b=1";
+    the inverse of `spec_from_text`.
 
     The b value, always last, is the polynomial in the usual coefficient
     syntax (and may itself contain commas).
     """
-    if isinstance(spec, FieldPower):
-        return f"field-power:i={spec.i}"
-    if isinstance(spec, ChainPrincipal):
-        return f"chain:i={spec.i}"
-    if isinstance(spec, Type1):
-        return f"type1:k={spec.k}"
-    if isinstance(spec, Type2):
-        return f"type2:j={spec.j},k={spec.k},b={_poly_text_short(spec.b)}"
-    if isinstance(spec, Type3):
-        return (f"type3:j={spec.j},k={spec.k},t={spec.t},"
-                f"b={_poly_text_short(spec.b)}")
-    raise TypeError(f"not a code parameter record: {spec!r}")
+    fmt = _FORMATS.get(type(spec))
+    if fmt is None:
+        raise TypeError(f"not a code parameter record: {spec!r}")
+    b = getattr(spec, "b", None)
+    return fmt.format(spec, b=None if b is None else _poly_text_short(b))
 
 
 def _poly_text_short(f: QPoly) -> str:
@@ -456,10 +494,6 @@ def _poly_text_short(f: QPoly) -> str:
             parts.pop()
         text = texts[f.coeffs] = ",".join(parts)
     return text
-
-
-_FAMILIES = {"field-power": FieldPower, "chain": ChainPrincipal,
-             "type1": Type1, "type2": Type2, "type3": Type3}
 
 
 def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
@@ -485,7 +519,7 @@ def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
         given[key] = val.strip()
     if head not in _FAMILIES:
         raise ConstraintViolation(f"unknown code family {head!r}")
-    keys = [f.name for f in fields(_FAMILIES[head])]
+    keys = _FIELDS[_FAMILIES[head]]
     for key in given:
         if key not in keys:
             raise ConstraintViolation(

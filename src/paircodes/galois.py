@@ -307,7 +307,8 @@ class Field:
 
     def check_element(self, a: int) -> int:
         """`a` itself, if it encodes an element of this field."""
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        a = as_int(a)
+        if not 0 <= a < self.q:
             raise InvalidValue(f"{a!r} does not encode an element of {self!r}")
         return a
 
@@ -368,9 +369,6 @@ class ChainRing:
     def neg(self, x: int) -> int:
         f = self.field
         return self.make(f.neg(self.a_of(x)), f.neg(self.b_of(x)))
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         f = self.field

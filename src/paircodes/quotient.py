@@ -155,10 +155,11 @@ class QuotientRing:
         return self.poly(self.base.parse_coeff(s) for s in parts)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QuotientRing)
-                and self.field == other.field and self.n == other.n
-                and self.s == other.s and self.alpha0 == other.alpha0
-                and self.beta == other.beta)
+        return other is self or (
+            isinstance(other, QuotientRing)
+            and self.field == other.field and self.n == other.n
+            and self.s == other.s and self.alpha0 == other.alpha0
+            and self.beta == other.beta)
 
     def __hash__(self) -> int:
         return hash((self.field, self.n, self.s, self.alpha0, self.beta))
@@ -191,16 +192,6 @@ class QPoly:
         base = self.ring.base
         return QPoly(self.ring, tuple(
             base.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        self._check(other)
-        base = self.ring.base
-        return QPoly(self.ring, tuple(
-            base.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "QPoly":
-        base = self.ring.base
-        return QPoly(self.ring, tuple(base.neg(a) for a in self.coeffs))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         self._check(other)

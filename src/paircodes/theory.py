@@ -30,12 +30,10 @@ from .codes import (
     FieldPower,
     Type1,
     Type2,
-    Type3,
     _log_size,
+    all_code_specs,
     build_code,
     check_budget,
-    log_size,
-    random_unit,
     spec_to_text,
     validate_spec,
 )
@@ -196,6 +194,12 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
     and are flagged trivial.
     """
     validate_spec(ring, spec)
+    return _verdict(ring, spec, d_sp)
+
+
+def _verdict(ring: QuotientRing, spec: CodeSpec,
+             d_sp: int | None) -> MdsVerdict:
+    """`mds_verdict` of a spec already checked by `validate_spec`."""
     if d_sp is None:
         d_sp = min_pair_distance_field(ring.n, ring.p, ring.s,
                                        _field_exponent(ring, spec))[0]
@@ -207,40 +211,6 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
                       trivial=clog in (0, ring.N * alog))
 
 
-def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
-                   rng: random.Random | None = None) -> list[CodeSpec]:
-    """Every admissible parameter record for the ring, in a fixed order.
-
-    For the families with a free polynomial b, the zero choice is always
-    included plus `unit_samples` random units drawn from `rng` (seeded
-    deterministically when omitted).
-    """
-    ps = ring.p ** ring.s
-    if not ring.is_chain:
-        return [FieldPower(i) for i in range(ps + 1)]
-    if ring.beta != 0:
-        return [ChainPrincipal(i) for i in range(2 * ps + 1)]
-    if rng is None:
-        rng = random.Random(0)
-    fq = ring.field_quotient()
-    bs = [fq.zero()]
-    for _ in range(unit_samples):
-        bs.append(random_unit(fq, rng))
-    out: list[CodeSpec] = [Type1(k) for k in range(ps + 1)]
-    for k in range(ps):
-        j_lo = -(-(ps + k) // 2)
-        for j in range(j_lo, ps):
-            for b in bs:
-                out.append(Type2(j, k, b))
-    for k in range(ps - 1):
-        for t in range(1, ps - k):
-            j_lo = k + (-(-t // 2))
-            for j in range(j_lo, k + t + 1):
-                for b in bs:
-                    out.append(Type3(j, k, t, b))
-    return out
-
-
 def mds_classify(ring: QuotientRing, unit_samples: int = 3,
                  rng: random.Random | None = None) -> list[MdsVerdict]:
     """Closed-form MDS verdict for every admissible code of the ring.
@@ -248,7 +218,7 @@ def mds_classify(ring: QuotientRing, unit_samples: int = 3,
     Nothing is enumerated here; :func:`consistency_scan` checks the closed
     forms against the exhaustive oracle.
     """
-    return [mds_verdict(ring, spec)
+    return [_verdict(ring, spec, None)
             for spec in all_code_specs(ring, unit_samples, rng)]
 
 
@@ -330,7 +300,7 @@ def consistency_scan(ring: QuotientRing,
     check_budget(budget)
     report = ScanReport()
     for spec in all_code_specs(ring, unit_samples, rng):
-        log_p_size = log_size(ring, spec)
+        log_p_size = _log_size(ring, spec)      # admissible as enumerated
         if ring.p ** log_p_size > budget:
             report.skipped += 1
             continue

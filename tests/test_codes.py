@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -29,11 +30,12 @@ from paircodes.errors import (
     BetaMismatch,
     BudgetExceeded,
     ConstraintViolation,
+    InvalidValue,
     NotUnitNorZero,
     RingMismatch,
     VerificationMismatch,
 )
-from paircodes.galois import Field
+from paircodes.galois import Field, irreducible_binomial_constants
 from paircodes.quotient import QuotientRing, binomial_power, consta_shift, qmul
 from paircodes.theory import all_code_specs
 from test_acceptance import grid_rings
@@ -177,6 +179,180 @@ def test_spec_validation_errors():
     # b must be zero or a unit: the radical generator itself is neither
     with pytest.raises(NotUnitNorZero):
         build_code(chain0, Type2(j=2, k=0, b=binomial_power(fq, 1)))
+
+
+def _reference_specs(ring, unit_samples, rng):
+    """The admissible records as nested loops over the ranges of Dinh,
+    J. Algebra 324 (2010), written out family by family."""
+    ps = ring.p ** ring.s
+    if not ring.is_chain:
+        return [FieldPower(i) for i in range(ps + 1)]
+    if ring.beta != 0:
+        return [ChainPrincipal(i) for i in range(2 * ps + 1)]
+    fq = ring.field_quotient()
+    bs = [fq.zero()] + [random_unit(fq, rng) for _ in range(unit_samples)]
+    out = [Type1(k) for k in range(ps + 1)]
+    for k in range(ps):
+        for j in range(-(-(ps + k) // 2), ps):
+            out += [Type2(j, k, b) for b in bs]
+    for k in range(ps - 1):
+        for t in range(1, ps - k):
+            for j in range(k + (-(-t // 2)), k + t + 1):
+                out += [Type3(j, k, t, b) for b in bs]
+    return out
+
+
+def _family_rings():
+    """Field, beta != 0 and beta = 0 rings, p in {2, 3, 5}, n in {1, 2},
+    p^s <= 27 (s <= 3 for p = 2, 3 and s <= 2 for p = 5)."""
+    for p in (2, 3, 5):
+        field = Field(p, 1)
+        for n in (1, 2):
+            if n % p == 0:
+                continue
+            a0 = irreducible_binomial_constants(field, n)[0]
+            for s in range(1, 4):
+                if p ** s <= 27:
+                    for beta in (None, 1, 0):
+                        yield QuotientRing(field, n, s, a0, beta)
+
+
+def test_all_code_specs_match_the_reference_loops():
+    assert theory.all_code_specs is codes.all_code_specs
+    kinds = set()
+    for ring in _family_rings():
+        kinds.add((ring.p, ring.n, ring.beta))
+        for samples in (0, 2):
+            got = codes.all_code_specs(ring, samples, random.Random(4))
+            want = _reference_specs(ring, samples, random.Random(4))
+            assert [spec_to_text(s) for s in got] == \
+                [spec_to_text(s) for s in want], (ring, samples)
+            assert got == want
+    assert len(kinds) == 15
+
+
+def test_validate_spec_admits_exactly_the_enumerated_records():
+    # Every key moved one step off an admissible record: the record is
+    # accepted exactly when the enumeration lists it.  At each end of a
+    # key's range, one below and one above is refused.
+    for ring in _family_rings():
+        if ring.p ** ring.s > 9:
+            continue
+        specs = codes.all_code_specs(ring, 1, random.Random(2))
+        admitted = {spec_to_text(s) for s in specs}
+        refused = 0
+        for spec in specs:
+            codes.validate_spec(ring, spec)
+            for key in ("i", "j", "k", "t"):
+                if not hasattr(spec, key):
+                    continue
+                for step in (-1, 1):
+                    moved = dataclasses.replace(
+                        spec, **{key: getattr(spec, key) + step})
+                    if spec_to_text(moved) in admitted:
+                        codes.validate_spec(ring, moved)
+                        continue
+                    refused += 1
+                    with pytest.raises(ConstraintViolation):
+                        codes.validate_spec(ring, moved)
+        assert refused, ring
+
+
+def test_constraint_messages_are_pinned():
+    field_ring = QuotientRing(F3, 2, 1, 2)         # p^s = 3
+    chain1 = QuotientRing(F3, 2, 1, 2, beta=1)
+    chain0 = QuotientRing(F3, 2, 1, 2, beta=0)
+    one = chain0.field_quotient().one()
+    for ring, spec, message in [
+            (field_ring, FieldPower(5), "need 0 <= i <= 3, got i=5"),
+            (field_ring, FieldPower(-1), "need 0 <= i <= 3, got i=-1"),
+            (chain1, ChainPrincipal(7), "need 0 <= i <= 6, got i=7"),
+            (chain0, Type1(4), "need 0 <= k <= 3, got k=4"),
+            (chain0, Type2(j=2, k=3, b=one), "need 0 <= k <= 2, got k=3"),
+            (chain0, Type2(j=1, k=1, b=one),
+             "need 2 <= j <= 2 for k=1, got j=1"),
+            (chain0, Type3(j=1, k=2, t=1, b=one), "need 0 <= k <= 1, got k=2"),
+            (chain0, Type3(j=1, k=0, t=3, b=one),
+             "need 1 <= t <= 2 for k=0, got t=3"),
+            (chain0, Type3(j=0, k=0, t=2, b=one),
+             "need 1 <= j <= 2 for k=0, t=2, got j=0"),
+            (chain0, Type3(j=3, k=1, t=1, b=one),
+             "need 2 <= j <= 2 for k=1, t=1, got j=3")]:
+        with pytest.raises(ConstraintViolation) as exc:
+            codes.validate_spec(ring, spec)
+        assert str(exc.value) == message
+
+
+def test_spec_text_inverts_for_every_enumerated_record():
+    for ring in _family_rings():
+        if ring.p ** ring.s > 9:
+            continue
+        for spec in codes.all_code_specs(ring, 2, random.Random(6)):
+            assert spec_from_text(spec_to_text(spec), ring) == spec
+    with pytest.raises(TypeError):
+        spec_to_text("type1:k=1")
+
+
+def test_wrong_family_names_the_admitted_ones():
+    admits = {None: ["FieldPower"], 1: ["ChainPrincipal"],
+              0: ["Type1", "Type2", "Type3"]}
+    for beta, names in admits.items():
+        ring = QuotientRing(F3, 2, 1, 2, beta)
+        one = ring.field_quotient().one()
+        for spec in (FieldPower(1), ChainPrincipal(1), Type1(1),
+                     Type2(j=2, k=1, b=one), Type3(j=1, k=0, t=2, b=one)):
+            if type(spec).__name__ in names:
+                continue
+            with pytest.raises(BetaMismatch) as exc:
+                codes.validate_spec(ring, spec)
+            assert str(exc.value) == (
+                f"{type(spec).__name__} codes are not admitted over "
+                f"{ring!r}, which admits {', '.join(names)}")
+    with pytest.raises(TypeError):
+        codes.validate_spec(QuotientRing(F3, 2, 1, 2), "field-power:i=1")
+
+
+def test_record_keys_must_be_integers():
+    ring = QuotientRing(F3, 1, 1, 1)
+    chain0 = QuotientRing(F3, 1, 1, 1, beta=0)
+    one = chain0.field_quotient().one()
+    for bad in (1.0, True, False, "1", None, np.float64(1)):
+        for check in (log_size, build_code, codes.validate_spec):
+            with pytest.raises(InvalidValue):
+                check(ring, FieldPower(bad))
+        with pytest.raises(InvalidValue):
+            build_code(chain0, Type2(j=2, k=bad, b=one))
+        with pytest.raises(InvalidValue):
+            build_code(chain0, Type3(j=bad, k=0, t=2, b=one))
+    assert log_size(ring, FieldPower(np.int64(1))) == log_size(
+        ring, FieldPower(1))
+
+
+def _count_validate_spec(monkeypatch) -> list:
+    checked = []
+
+    def counting(ring, spec):
+        checked.append(spec)
+        return validate_spec(ring, spec)
+
+    validate_spec = codes.validate_spec
+    for mod in (codes, theory):
+        monkeypatch.setattr(mod, "validate_spec", counting)
+    return checked
+
+
+def test_sweeps_do_not_recheck_enumerated_records(monkeypatch):
+    ring = QuotientRing(F2, 1, 3, 1, beta=0)
+    budget = 1 << 10
+    specs = codes.all_code_specs(ring, 2, random.Random(5))
+    skipped = [spec_to_text(s) for s in specs
+               if ring.p ** log_size(ring, s) > budget]
+    checked = _count_validate_spec(monkeypatch)
+    verdicts = theory.mds_classify(ring, 2, random.Random(5))
+    assert len(verdicts) == len(specs) and checked == []
+    report = theory.consistency_scan(ring, budget, 2, random.Random(5))
+    assert report.ok and report.skipped == len(skipped) > 0
+    assert checked and not set(skipped) & {spec_to_text(s) for s in checked}
 
 
 def _count_unit_kind(monkeypatch) -> list:

@@ -157,6 +157,18 @@ def test_budget_below_one_is_refused(budget):
         consistency_scan(ring, budget=budget)
 
 
+@pytest.mark.parametrize("budget", [True, 4096.0, "4096", None])
+def test_budget_must_be_an_integer(budget):
+    ring = QuotientRing(Field(3, 1), 2, 1, 2)
+    code = build_code(ring, FieldPower(1))
+    with pytest.raises(InvalidValue):
+        scan_minima(code, budget)
+    with pytest.raises(InvalidValue):
+        min_distance_brute(code, budget=budget)
+    with pytest.raises(InvalidValue):
+        consistency_scan(ring, budget=budget)
+
+
 def test_unknown_metric_is_refused():
     code = build_code(QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1))
     with pytest.raises(InvalidValue):

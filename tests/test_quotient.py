@@ -57,6 +57,33 @@ def test_construction_guards():
         QuotientRing(f5, 2, 1, 4)                  # x^2 - 4 = (x-2)(x+2)
 
 
+def test_field_elements_must_be_integers():
+    f3 = Field(3, 1)
+    for bad in (True, False, 1.0, "1", None, np.float64(1)):
+        with pytest.raises(InvalidValue):
+            f3.check_element(bad)
+        with pytest.raises(InvalidValue):
+            QuotientRing(f3, 1, 1, bad)            # as alpha0
+        if bad is not None:                        # beta=None: no u-part
+            with pytest.raises(InvalidValue):
+                QuotientRing(f3, 1, 1, 1, beta=bad)
+    assert f3.check_element(np.int64(2)) == 2
+    assert type(QuotientRing(f3, 1, 1, 1, beta=np.int64(0)).beta) is int
+
+
+def test_ring_equality():
+    f3 = Field(3, 1)
+    ring = QuotientRing(f3, 2, 1, 2, beta=0)
+    twin = QuotientRing(Field(3, 1), 2, 1, 2, beta=0)
+    assert twin is not ring and twin == ring and hash(twin) == hash(ring)
+    assert ring == ring and not ring != ring
+    for other in (QuotientRing(f3, 2, 1, 2), QuotientRing(f3, 2, 1, 2, 1),
+                  QuotientRing(f3, 2, 2, 2, beta=0),
+                  QuotientRing(f3, 1, 1, 2, beta=0),
+                  QuotientRing(Field(5, 1), 2, 1, 2, beta=0), "ring"):
+        assert ring != other and other != ring
+
+
 def test_quotient_parameters():
     f3 = Field(3, 1)
     ring = QuotientRing(f3, 2, 2, 2)
