@@ -28,6 +28,7 @@ import sys
 from . import __version__
 from .codes import (
     DEFAULT_BUDGET,
+    _standard_exponents,
     build_code,
     generators,
     log_size,
@@ -166,10 +167,10 @@ def cmd_distance(args, out) -> int:
     formula = None
     if args.method in ("formula", "both"):
         formula = min_pair_distance(ring, spec)
-        result["formula"] = {"d_sp": formula, "method": "closed-form"}
-        if not ring.is_chain:
-            _, branch = min_pair_distance_field(ring.n, ring.p, ring.s, spec.i)
-            result["formula"]["branch"] = branch.rule
+        _, branch = min_pair_distance_field(
+            ring.n, ring.p, ring.s, _standard_exponents(ring, spec)[1])
+        result["formula"] = {"branch": branch.rule, "d_sp": formula,
+                             "method": "closed-form"}
     if args.method in ("brute", "both"):
         code = build_code(ring, spec)
         rep = min_distance_brute(code, "pair", args.budget)
@@ -305,23 +306,29 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error_exit(exc: Exception, code: int) -> int:
+    """Print the error as one JSON line on stderr; return the exit code."""
+    print(json.dumps({"error": {"type": type(exc).__name__,
+                                "message": str(exc)}}), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     out = sys.stdout
-    opened = None
-    if getattr(args, "out", None):
-        opened = open(args.out, "w")
-        out = opened
+    if args.out:
+        try:
+            out = open(args.out, "w")
+        except OSError as exc:
+            return _error_exit(exc, EXIT_REFUSED)
     try:
         return args.fn(args, out)
     except PairCodeError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        return _error_exit(exc, next(code for cls, code in EXIT_CODES
+                                 if isinstance(exc, cls)))
     finally:
-        if opened is not None:
-            opened.close()
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ written once, in the tables `_FIELD_CODES`, `_CHAIN_CODES` and
 `_BETA0_CODES`: `validate_spec` checks a record against them and
 `all_code_specs` enumerates them.  A Type2 or Type3 record refuses, when
 it is made, a b that is neither zero nor a unit of its field quotient.
+Each record's standard-form exponents, which fix its size and closed-form
+distances, are written once, in `_standard_exponents`.
 
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
 echelon form.  Codewords are laid out position-major: position t of a word
@@ -242,16 +244,31 @@ def log_size(ring: QuotientRing, spec: CodeSpec) -> int:
 
 def _log_size(ring: QuotientRing, spec: CodeSpec) -> int:
     """`log_size` of a spec already checked by `validate_spec`."""
-    m, n, ps = ring.m, ring.n, ring.p ** ring.s
+    e0, e1 = _standard_exponents(ring, spec)
+    return ring.m * ring.n * (2 * ring.p ** ring.s - e0 - e1)
+
+
+def _standard_exponents(ring: QuotientRing, spec: CodeSpec) -> tuple[int, int]:
+    """(e0, e1) of a spec already checked by `validate_spec`: with
+    a = x^n - alpha0 the code is <a^e0 + u a^k c, u a^e1> (Norton and
+    Salagean, AAECC 10 (2000); Dinh, J. Algebra 324 (2010)), so it has
+    p^(m n (2p^s - e0 - e1)) words.  Its Hamming and pair distances are
+    those of its torsion code <a^e1> = {c : u c in C}: u times that code
+    lies in C, and a word c0 + u c1 of C with c0 != 0 has u c0 in C, whose
+    support lies inside its own.  A field code C counts as u C: (p^s, i).
+    """
+    ps = ring.p ** ring.s
     if isinstance(spec, FieldPower):
-        return m * (ring.N - n * spec.i)
+        return ps, spec.i
     if isinstance(spec, ChainPrincipal):
-        return m * n * (2 * ps - spec.i)
+        return min(spec.i, ps), max(spec.i - ps, 0)
     if isinstance(spec, Type1):
-        return 2 * m * n * (ps - spec.k)
+        return spec.k, spec.k
+    unit = not spec.b.is_zero()
     if isinstance(spec, Type2):
-        return m * n * (ps - spec.k)
-    return m * n * (2 * ps - 2 * spec.k - spec.t)
+        return (spec.j, ps - spec.j + spec.k) if unit else (ps, spec.k)
+    return (spec.j, 2 * spec.k + spec.t - spec.j) if unit \
+        else (spec.k + spec.t, spec.k)
 
 
 # --- GF(p) linear algebra ---------------------------------------------------

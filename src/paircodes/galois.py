@@ -24,6 +24,8 @@ import math
 import operator
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -211,21 +213,27 @@ class Field:
         reduction; ``_log[a]`` inverts it on nonzero a; ``_zech[k]`` is
         log(1 + g^k), or None where 1 + g^k = 0.  Indexing ``_zech`` with a
         difference of logs in (-(q-1), q-1) reduces it mod q-1 for free.
+
+        The digit rows of g^0 .. g^(L-1) times the matrix of multiplication
+        by g^L are those of g^L .. g^(2L-1): log2(q) doublings build them all.
         """
-        p, q1, mod = self.p, self.q - 1, list(self.modulus)
+        p, m, q1, mod = self.p, self.m, self.q - 1, list(self.modulus)
         factors = prime_factors(q1)
         for a in range(1, self.q):
             g = _ptrim(list(self.coords(a)))
             if all(_ppowmod(g, q1 // r, mod, p) != [1] for r in factors):
                 break
-        exp: list[int] = []
+        # Row t holds the digits of y^t * g: digits(h * g) = digits(h) @ step.
+        rows = [_pmod([0] * t + g, mod, p) for t in range(m)]
+        step = np.array([r + [0] * (m - len(r)) for r in rows], dtype=np.int64)
+        powers = np.eye(1, m, dtype=np.int64)
+        while len(powers) < q1:
+            powers = np.concatenate([powers, powers @ step % p])
+            step = step @ step % p
+        exp = (powers[:q1] @ np.array(self._pow_p, dtype=np.int64)).tolist()
         log: list = [None] * self.q
-        x = [1]
-        for k in range(q1):
-            e = self.from_coords(x)
-            exp.append(e)
+        for k, e in enumerate(exp):
             log[e] = k
-            x = _pmod(_pmul(x, g, p), mod, p)
         # 1 + g^k only changes the constant digit of g^k; where the sum is 0,
         # log[0] = None is the marker.
         self._zech = [log[e + 1 - p if (e + 1) % p == 0 else e + 1]
@@ -269,9 +277,6 @@ class Field:
 
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._log_neg1] if a else 0
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]] if a and b else 0

@@ -202,7 +202,7 @@ class QPoly:
         return QPoly(self.ring, tuple(base.mul(c, a) for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def support(self) -> list[int]:
         return [i for i, c in enumerate(self.coeffs) if c != 0]

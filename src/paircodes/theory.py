@@ -25,12 +25,9 @@ from dataclasses import dataclass, field
 
 from .codes import (
     DEFAULT_BUDGET,
-    ChainPrincipal,
     CodeSpec,
-    FieldPower,
-    Type1,
-    Type2,
     _log_size,
+    _standard_exponents,
     all_code_specs,
     build_code,
     check_budget,
@@ -139,31 +136,11 @@ def min_pair_distance_field(n: int, p: int, s: int,
     return v, BranchWitness("n=1 top-block", k, theta, v)
 
 
-def _field_exponent(ring: QuotientRing, spec: CodeSpec) -> int:
-    """The field-quotient exponent whose code has the spec's pair distance.
-
-    A principal chain-ring code of exponent i is the full space in disguise
-    for i <= p^s (exponent 0, distance 2) and u times the field code of
-    exponent i - p^s beyond; the beta = 0 families reduce to k (b = 0),
-    p^s - j + k (Type2, b a unit) or 2k + t - j (Type3, b a unit).
-    """
-    if isinstance(spec, FieldPower):
-        return spec.i
-    ps = ring.p ** ring.s
-    if isinstance(spec, ChainPrincipal):
-        return max(spec.i - ps, 0)
-    if isinstance(spec, Type1) or spec.b.is_zero():
-        return spec.k
-    if isinstance(spec, Type2):
-        return ps - spec.j + spec.k
-    return 2 * spec.k + spec.t - spec.j
-
-
 def min_pair_distance(ring: QuotientRing, spec: CodeSpec) -> int:
     """Closed-form minimum pair distance for any supported family."""
     validate_spec(ring, spec)
     return min_pair_distance_field(ring.n, ring.p, ring.s,
-                                   _field_exponent(ring, spec))[0]
+                                   _standard_exponents(ring, spec)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -184,8 +161,7 @@ class MdsVerdict:
         }
 
 
-def mds_verdict(ring: QuotientRing, spec: CodeSpec,
-                d_sp: int | None = None) -> MdsVerdict:
+def mds_verdict(ring: QuotientRing, spec: CodeSpec) -> MdsVerdict:
     """Singleton gap of the code, in exact integer log_p units.
 
     The bound is |C| <= A^(N - d_sp + 2) with A the coefficient-ring size,
@@ -194,15 +170,13 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec,
     and are flagged trivial.
     """
     validate_spec(ring, spec)
-    return _verdict(ring, spec, d_sp)
+    return _verdict(ring, spec)
 
 
-def _verdict(ring: QuotientRing, spec: CodeSpec,
-             d_sp: int | None) -> MdsVerdict:
+def _verdict(ring: QuotientRing, spec: CodeSpec) -> MdsVerdict:
     """`mds_verdict` of a spec already checked by `validate_spec`."""
-    if d_sp is None:
-        d_sp = min_pair_distance_field(ring.n, ring.p, ring.s,
-                                       _field_exponent(ring, spec))[0]
+    d_sp = min_pair_distance_field(ring.n, ring.p, ring.s,
+                                   _standard_exponents(ring, spec)[1])[0]
     alog = ring.base.gfp_dim
     clog = _log_size(ring, spec)
     defect = (ring.N - d_sp + 2) * alog - clog
@@ -218,7 +192,7 @@ def mds_classify(ring: QuotientRing, unit_samples: int = 3,
     Nothing is enumerated here; :func:`consistency_scan` checks the closed
     forms against the exhaustive oracle.
     """
-    return [_verdict(ring, spec, None)
+    return [_verdict(ring, spec)
             for spec in all_code_specs(ring, unit_samples, rng)]
 
 
@@ -227,24 +201,20 @@ class ScanEntry:
     spec_text: str
     dim_p: int
     log_size: int
-    dim_ok: bool
     formula_pair: int
     oracle_pair: int | None
-    formula_hamming: int | None
+    formula_hamming: int
     oracle_hamming: int | None
     witness: str | None = None
 
     @property
+    def dim_ok(self) -> bool:
+        return self.dim_p == self.log_size
+
+    @property
     def ok(self) -> bool:
-        if not self.dim_ok:
-            return False
-        if self.oracle_pair is not None and self.oracle_pair != self.formula_pair:
-            return False
-        if (self.oracle_hamming is not None
-                and self.formula_hamming is not None
-                and self.oracle_hamming != self.formula_hamming):
-            return False
-        return True
+        return (self.dim_ok and self.oracle_pair == self.formula_pair
+                and self.oracle_hamming == self.formula_hamming)
 
     def to_dict(self) -> dict:
         return {
@@ -290,12 +260,10 @@ def consistency_scan(ring: QuotientRing,
     """Exhaustively cross-check closed forms against enumeration.
 
     For every admissible code of the ring that fits the budget: the GF(p)
-    dimension must match the classified size, the enumerated minimum pair
-    distance must match the closed form, and (for field codes, where a
-    closed form exists) the enumerated minimum Hamming distance must match
-    too.  A code whose rank disagrees is recorded with ``dim_ok`` false and
-    no oracle values, and the scan goes on.  Codes over budget are counted,
-    not checked.
+    dimension must match the classified size, and the enumerated minimum
+    pair and Hamming distances must match their closed forms.  A code whose
+    rank disagrees is recorded with ``dim_ok`` false and no oracle values,
+    and the scan goes on.  Codes over budget are counted, not checked.
     """
     check_budget(budget)
     report = ScanReport()
@@ -305,8 +273,8 @@ def consistency_scan(ring: QuotientRing,
             report.skipped += 1
             continue
         formula_pair = min_pair_distance(ring, spec)
-        formula_ham = (min_hamming_distance(ring.p, ring.s, spec.i)
-                       if isinstance(spec, FieldPower) else None)
+        formula_ham = min_hamming_distance(
+            ring.p, ring.s, _standard_exponents(ring, spec)[1])
         try:
             code = build_code(ring, spec)
             dim_p = code.dim_p
@@ -317,16 +285,13 @@ def consistency_scan(ring: QuotientRing,
             oracle_pair = oracle_ham = 0
         elif code is not None:
             res = scan_minima(code, budget)
-            oracle_pair = res["min_pair"]
-            if formula_ham is not None:
-                oracle_ham = res["min_hamming"]
+            oracle_pair, oracle_ham = res["min_pair"], res["min_hamming"]
             if oracle_pair != formula_pair:
                 witness = repr(code.word_at(res["pair_at"]))
         report.entries.append(ScanEntry(
             spec_text=spec_to_text(spec),
             dim_p=dim_p,
             log_size=log_p_size,
-            dim_ok=(dim_p == log_p_size),
             formula_pair=formula_pair,
             oracle_pair=oracle_pair,
             formula_hamming=formula_ham,

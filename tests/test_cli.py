@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import pytest
 import paircodes
 from paircodes import __version__, cli
 from paircodes.cli import main
+from paircodes.theory import min_pair_distance_field
 
 FIELD_RING = ["--p", "3", "--s", "1", "--n", "2", "--alpha0", "2"]
 CHAIN_B0 = ["--p", "3", "--s", "2", "--n", "1", "--alpha0", "1", "--beta", "0"]
@@ -91,6 +93,27 @@ def test_distance_chain_counterexample(capsys):
     assert code == 0
     row = doc["results"][0]
     assert row["match"] is True and row["formula"]["d_sp"] == 4
+
+
+CHAIN_B1 = ["--p", "3", "--s", "2", "--n", "1", "--alpha0", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize("ring,spec,n,p,s,e1", [
+    (FIELD_RING, "field-power:i=2", 2, 3, 1, 2),
+    (CHAIN_B1, "chain:i=12", 1, 3, 2, 3),
+    (CHAIN_B0, "type2:j=7,k=1,b=1", 1, 3, 2, 3),
+    (CHAIN_B0, "type3:j=5,k=2,t=4,b=1", 1, 3, 2, 3),
+    (CHAIN_B0, "type3:j=5,k=2,t=4,b=0", 1, 3, 2, 2),
+])
+def test_distance_formula_reports_its_branch(ring, spec, n, p, s, e1, capsys):
+    # A chain code has the pair distance of the field code <(x^n-a0)^e1>,
+    # so it reports that code's branch.
+    code, doc, _ = run_json(
+        ["distance", *ring, "--spec", spec, "--method", "formula"], capsys)
+    assert code == 0
+    d_sp, branch = min_pair_distance_field(n, p, s, e1)
+    assert doc["results"][0]["formula"] == {
+        "branch": branch.rule, "d_sp": d_sp, "method": "closed-form"}
 
 
 def test_distance_brute_over_budget_degrades(capsys):
@@ -216,6 +239,19 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["results"][0]["q"] == 2
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_out_to_an_unwritable_path_exits_2(missing, tmp_path, capsys):
+    # A missing directory, or a path that is a directory.
+    target = tmp_path / "nowhere" / "info.json" if missing else tmp_path
+    code, out, err = run_cli(
+        ["field-info", "--p", "2", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert issubclass(getattr(builtins, error["type"]), OSError)
+    assert str(target) in error["message"]
 
 
 @pytest.mark.parametrize("argv,errtype", [

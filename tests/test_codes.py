@@ -155,6 +155,42 @@ def test_chain_high_powers_are_u_times_field_code():
         assert code.dim_p == fcode.dim_p
 
 
+def _residue_and_torsion(code):
+    """The residue code (the a-parts of the words) and the torsion code
+    {c : u c in C} of a code over the two-component ring, as RREF bases.
+
+    With every a-column moved in front of every u-column, the RREF rows
+    with a pivot among the a-columns carry the residue code, and the other
+    rows, zero on every a-column, the torsion code.
+    """
+    ring = code.ring
+    half = ring.N * ring.m
+    cols = np.arange(2 * half).reshape(ring.N, 2, ring.m)
+    red, pivots = rref_mod_p(code.basis[:, np.concatenate(
+        [cols[:, 0].ravel(), cols[:, 1].ravel()])], ring.p)
+    split = sum(c < half for c in pivots)
+    return red[:split, :half], red[split:, half:]
+
+
+def test_standard_exponents_are_the_residue_and_torsion_codes():
+    # Read off the built code, not the closed forms: (e0, e1) must be the
+    # exponents of the field codes under every code's words.
+    f4, f9 = Field(2, 2), Field(3, 2)
+    a9 = irreducible_binomial_constants(f9, 2)[0]
+    for args in [(F2, 1, 2, 1), (F3, 2, 1, 2), (F3, 1, 2, 1), (f4, 1, 1, 2),
+                 (f9, 2, 1, a9)]:
+        for beta in (0, 1):
+            ring = QuotientRing(*args, beta=beta)
+            fq = ring.field_quotient()
+            for spec in all_code_specs(ring):
+                e0, e1 = codes._standard_exponents(ring, spec)
+                residue, torsion = _residue_and_torsion(build_code(ring, spec))
+                assert np.array_equal(
+                    residue, build_code(fq, FieldPower(e0)).basis), spec
+                assert np.array_equal(
+                    torsion, build_code(fq, FieldPower(e1)).basis), spec
+
+
 def test_spec_validation_errors():
     field_ring = QuotientRing(F3, 2, 1, 2)
     chain1 = QuotientRing(F3, 2, 1, 2, beta=1)

@@ -55,3 +55,20 @@ def test_every_private_helper_has_a_caller():
     dead = [name for name in sorted(defined)
             if name not in used and name.split(".")[1] not in used]
     assert dead == []
+
+
+def test_only_codes_names_the_code_families():
+    # The shape of each family's codes is stated once, in codes.py; every
+    # other module reads it through codes' functions, never by family.
+    records = {"FieldPower", "ChainPrincipal", "Type1", "Type2", "Type3"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("codes.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.name if isinstance(node, ast.alias) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in records:
+                found.append(f"{path.name}:{name}")
+    assert found == []

@@ -18,7 +18,7 @@ from paircodes.errors import (
     VerificationMismatch,
 )
 from paircodes.galois import Field
-from paircodes import pairmetric, theory
+from paircodes import codes, pairmetric, theory
 from paircodes.pairmetric import (
     hamming_weight,
     min_distance_brute,
@@ -326,3 +326,53 @@ def test_rank_mismatch_is_one_failing_entry(monkeypatch):
     for got, want in zip(report.entries, clean.entries):
         if got is not entry:
             assert got.to_dict() == want.to_dict()
+
+
+def test_planted_hamming_closed_form_fails_exactly_its_entries(monkeypatch):
+    # Chain-ring entries carry the Hamming closed form of their torsion
+    # exponent; one planted wrong value fails the entries that read it.
+    for ring in (QuotientRing(Field(2, 1), 1, 3, 1, beta=0),
+                 QuotientRing(Field(3, 1), 1, 2, 1, beta=1)):
+        def scan():
+            return consistency_scan(ring, budget=1 << 12, unit_samples=1,
+                                    rng=random.Random(3))
+
+        clean = scan()
+        assert clean.ok
+        monkeypatch.setattr(
+            theory, "min_hamming_distance",
+            lambda p, s, i: min_hamming_distance(p, s, i) + (i == 2))
+        report = scan()
+        monkeypatch.undo()
+        planted = []
+        for got, want in zip(report.entries, clean.entries):
+            if got.formula_hamming == want.formula_hamming:
+                assert got.to_dict() == want.to_dict()
+                continue
+            assert got.to_dict() == {
+                **want.to_dict(), "ok": False,
+                "formula_hamming": want.formula_hamming + 1}
+            planted.append(got)
+        assert planted and report.mismatches == planted
+        assert len(report.entries) == len(clean.entries)
+
+
+def test_planted_wrong_standard_exponent_fails_the_scan(monkeypatch):
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    real = codes._standard_exponents
+
+    def planted(ring, spec):
+        e0, e1 = real(ring, spec)
+        if isinstance(spec, Type2) and not spec.b.is_zero():
+            e1 += 1
+        return e0, e1
+
+    monkeypatch.setattr(codes, "_standard_exponents", planted)
+    monkeypatch.setattr(theory, "_standard_exponents", planted)
+    report = consistency_scan(ring, budget=1 << 8, unit_samples=1,
+                              rng=random.Random(3))
+    assert not report.ok
+    assert {e.spec_text for e in report.mismatches} == {
+        e.spec_text for e in report.entries
+        if e.spec_text.startswith("type2:") and not e.spec_text.endswith(
+            ",b=0")}
