@@ -53,7 +53,6 @@ from .pairmetric import (
     scan_minima,
 )
 from .theory import (
-    BranchWitness,
     MdsVerdict,
     ScanEntry,
     ScanReport,

@@ -169,7 +169,7 @@ def cmd_distance(args, out) -> int:
         formula = min_pair_distance(ring, spec)
         _, branch = min_pair_distance_field(
             ring.n, ring.p, ring.s, _standard_exponents(ring, spec)[1])
-        result["formula"] = {"branch": branch.rule, "d_sp": formula,
+        result["formula"] = {"branch": branch, "d_sp": formula,
                              "method": "closed-form"}
     if args.method in ("brute", "both"):
         code = build_code(ring, spec)

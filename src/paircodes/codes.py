@@ -226,14 +226,14 @@ def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
     validate_spec(ring, spec)
     if isinstance(spec, (FieldPower, ChainPrincipal)):
         return [binomial_power(ring, spec.i)]
-    fq = ring.field_quotient()
     if isinstance(spec, Type1):
-        return [ring.embed(binomial_power(fq, spec.k))]
+        return [binomial_power(ring, spec.k)]
+    fq = ring.field_quotient()
     head = ring.embed(qmul(binomial_power(fq, spec.j), spec.b)) \
         + ring.times_u(binomial_power(fq, spec.k))
     if isinstance(spec, Type2):
         return [head]
-    return [head, ring.embed(binomial_power(fq, spec.k + spec.t))]
+    return [head, binomial_power(ring, spec.k + spec.t)]
 
 
 def log_size(ring: QuotientRing, spec: CodeSpec) -> int:

@@ -3,7 +3,7 @@
 Everything raised on purpose derives from :class:`PairCodeError`, so callers
 (and the CLI) can catch one base class.  The subclasses separate the three
 broad kinds of failure: bad constructions (rejected inputs), bad arithmetic
-(division by a non-unit and friends), and verification mismatches between a
+(division by zero and friends), and verification mismatches between a
 closed-form prediction and an exhaustive computation.
 """
 
@@ -66,10 +66,6 @@ class InvalidValue(PairCodeError):
 
 class DivisionByZero(PairCodeError):
     """Inversion of zero in a field."""
-
-
-class NonUnit(PairCodeError):
-    """Inversion of a non-unit in the two-component ring."""
 
 
 class RingMismatch(PairCodeError):

@@ -30,7 +30,6 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     InvalidValue,
-    NonUnit,
     NotPrime,
     ReducibleModulus,
     ZeroElement,
@@ -293,9 +292,6 @@ class Field:
             raise DivisionByZero(f"0 has no inverse in GF({self.q})")
         return 0 if e else 1
 
-    def is_unit(self, a: int) -> bool:
-        return a != 0
-
     def order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
         if a == 0:
@@ -371,27 +367,11 @@ class ChainRing:
         return self.make(f.add(self.a_of(x), self.a_of(y)),
                          f.add(self.b_of(x), self.b_of(y)))
 
-    def neg(self, x: int) -> int:
-        f = self.field
-        return self.make(f.neg(self.a_of(x)), f.neg(self.b_of(x)))
-
     def mul(self, x: int, y: int) -> int:
         f = self.field
         a, b = self.a_of(x), self.b_of(x)
         c, d = self.a_of(y), self.b_of(y)
         return self.make(f.mul(a, c), f.add(f.mul(a, d), f.mul(b, c)))
-
-    def is_unit(self, x: int) -> bool:
-        return self.a_of(x) != 0
-
-    def inv(self, x: int) -> int:
-        """(a + ub)^-1 = a^-1 - u a^-2 b; defined exactly for a != 0."""
-        a, b = self.a_of(x), self.b_of(x)
-        if a == 0:
-            raise NonUnit(f"{self.format_element(x)} is not a unit")
-        f = self.field
-        ai = f.inv(a)
-        return self.make(ai, f.neg(f.mul(f.mul(ai, ai), b)))
 
     # -- GF(p)-linear structure ----------------------------------------------
 

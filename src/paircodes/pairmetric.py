@@ -62,12 +62,7 @@ def hamming_weight(word) -> int:
 
 
 def pair_weight(word) -> int:
-    xs = _as_symbols(word)
-    n = len(xs)
-    if n < 2:
-        raise LengthTooShort("pair reads need length >= 2")
-    return sum(1 for i in range(n)
-               if xs[i] != 0 or xs[(i + 1) % n] != 0)
+    return sum(1 for a, b in pair_vector(word) if a != 0 or b != 0)
 
 
 def hamming_distance(x, y) -> int:
@@ -82,11 +77,7 @@ def pair_distance(x, y) -> int:
     xs, ys = _as_symbols(x), _as_symbols(y)
     if len(xs) != len(ys):
         raise LengthTooShort("words must have equal length")
-    n = len(xs)
-    if n < 2:
-        raise LengthTooShort("pair reads need length >= 2")
-    return sum(1 for i in range(n)
-               if xs[i] != ys[i] or xs[(i + 1) % n] != ys[(i + 1) % n])
+    return sum(1 for a, b in zip(pair_vector(xs), pair_vector(ys)) if a != b)
 
 
 def block_decomposition(x, y) -> tuple[int, int, int]:
@@ -118,11 +109,10 @@ def block_decomposition(x, y) -> tuple[int, int, int]:
 class DistanceReport:
     """Outcome of a minimum-distance computation.
 
-    ``method`` is "exhaustive" when every nonzero codeword was inspected,
-    "upper-bound" when only a budget-limited prefix was, and "closed-form"
-    when no enumeration happened.  ``witness`` is the first codeword (in
-    enumeration order) attaining the reported minimum; d_H and L describe
-    that witness (L only when 0 < d_H < N).
+    ``method`` is "exhaustive" when every nonzero codeword was inspected
+    and "upper-bound" when only a budget-limited prefix was.  ``witness``
+    is the first codeword (in enumeration order) attaining the reported
+    minimum; d_H and L describe that witness (L only when 0 < d_H < N).
     """
     d_sp: int
     d_H: int | None = None

@@ -9,8 +9,8 @@ for a given alpha0 with x^n - alpha0 irreducible, so that
 
 over the two-component ring, lam = alpha + u*beta with alpha = alpha0^(p^s).
 The binomial a(x) = x^n - alpha0 is the *radical generator*: every ideal of
-the quotient is built from its powers, which is why ``binomial_power`` gets
-its own memoized entry point.
+the quotient is built from its powers, which ``binomial_power`` writes down
+by the binomial theorem.
 
 A residue is a :class:`QPoly`: an immutable length-N coefficient tuple
 (degree 0 first) of encoded coefficient-ring ints.  Multiplication wraps
@@ -66,7 +66,6 @@ class QuotientRing:
             self.beta = field.check_element(beta)
             self.base = ChainRing(field)
             self.lam = self.base.make(self.alpha, self.beta)
-        self._binom_squares: dict[int, QPoly] = {}
         self._field_quotient: QuotientRing | None = None
         # Facts about a residue b, keyed by b.coeffs: unit_kind's verdict
         # and the short text of spec_to_text (both in codes).
@@ -253,35 +252,30 @@ def consta_shift(f: QPoly) -> QPoly:
 
 
 def binomial_power(ring: QuotientRing, i: int) -> QPoly:
-    """(x^n - alpha0)^i in the quotient, by memoized squaring.
+    """(x^n - alpha0)^i in the quotient, by the binomial theorem.
 
-    Over the field the radical generator is nilpotent of index p^s, so i
-    ranges over [0, p^s]; over the two-component ring the index is 2*p^s
-    when beta = 0 and the wraparound gives (x^n - alpha0)^(p^s) = u*beta
-    otherwise.
+    Write i = w*p^s + r with 0 <= r < p^s.  The coefficient of x^(n*j) in
+    a^r, a = x^n - alpha0, is C(r, j)*(-alpha0)^(r-j).  Over the field a is
+    nilpotent of index p^s, so i ranges over [0, p^s].  Over the
+    two-component ring i ranges over [0, 2*p^s]: a^(p^s) = x^N - alpha =
+    u*beta, so a^i = u*beta*a^r when w = 1, and a^i = 0 when w = 2 or
+    beta = 0 (u^2 = 0).
     """
-    top = ring.p ** ring.s * (2 if ring.is_chain else 1)
+    ps = ring.p ** ring.s
+    top = ps * (2 if ring.is_chain else 1)
     if not 0 <= i <= top:
         raise ExponentOutOfRange(
             f"exponent {i} outside [0, {top}] for {ring!r}")
-    if i == 0:
-        return ring.one()
-    squares = ring._binom_squares
-    if not squares:
-        squares[1] = ring.radical()
-    e = 1
-    while 2 * e <= i:
-        if 2 * e not in squares:
-            squares[2 * e] = qmul(squares[e], squares[e])
-        e *= 2
-    bit = i & -i
-    result = squares[bit]
-    bit <<= 1
-    while bit <= i:
-        if i & bit:
-            result = qmul(result, squares[bit])
-        bit <<= 1
-    return result
+    w, r = divmod(i, ps)
+    if w and not (w == 1 and ring.beta):
+        return ring.zero()
+    field = ring.field
+    neg_a0 = field.neg(ring.alpha0)
+    cs = [0] * ring.N
+    for j in range(r + 1):
+        c = field.mul(math.comb(r, j) % ring.p, field.pow(neg_a0, r - j))
+        cs[ring.n * j] = ring.base.times_u(field.mul(ring.beta, c)) if w else c
+    return QPoly(ring, tuple(cs))
 
 
 def coefficient_weight(f: QPoly) -> int:

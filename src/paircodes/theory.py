@@ -74,15 +74,6 @@ def exponent_interval(p: int, s: int, i: int) -> tuple[int, int, int, int]:
     raise AssertionError("interval partition failed")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class BranchWitness:
-    """Which closed-form branch produced a value (for reports and tests)."""
-    rule: str
-    k: int | None = None
-    theta: int | None = None
-    value: int = 0
-
-
 def min_hamming_distance(p: int, s: int, i: int) -> int:
     """Minimum Hamming distance of <(x^n-a0)^i> in the field quotient.
 
@@ -98,8 +89,9 @@ def min_hamming_distance(p: int, s: int, i: int) -> int:
 
 
 def min_pair_distance_field(n: int, p: int, s: int,
-                            i: int) -> tuple[int, BranchWitness]:
-    """Minimum pair distance of <(x^n-a0)^i> over GF(p^m), with its branch.
+                            i: int) -> tuple[int, str]:
+    """Minimum pair distance of <(x^n-a0)^i> over GF(p^m), with the rule of
+    the closed-form branch that produced it.
 
     The value does not depend on m or on the choice of a0.
     """
@@ -112,28 +104,22 @@ def min_pair_distance_field(n: int, p: int, s: int,
     if not 0 <= i <= ps:
         raise ExponentOutOfRange(f"need 0 <= i <= {ps}, got {i}")
     if i == 0:
-        return 2, BranchWitness("full-space", value=2)
+        return 2, "full-space"
     if i == ps:
-        return 0, BranchWitness("zero-code", value=0)
+        return 0, "zero-code"
     k, theta, lo, _ = exponent_interval(p, s, i)
     if n >= 2:
-        v = 2 * (theta + 2) * p ** k
-        return v, BranchWitness("n>=2", k, theta, v)
+        return 2 * (theta + 2) * p ** k, "n>=2"
     if k <= s - 2:
         if theta == 0 and i == lo:
-            v = 3 * p ** k
-            return v, BranchWitness("n=1 interval-start", k, theta, v)
+            return 3 * p ** k, "n=1 interval-start"
         if theta == 0:
-            v = 4 * p ** k
-            return v, BranchWitness("n=1 theta=0 tail", k, theta, v)
-        v = 2 * (theta + 2) * p ** k
-        return v, BranchWitness("n=1 mid-theta", k, theta, v)
+            return 4 * p ** k, "n=1 theta=0 tail"
+        return 2 * (theta + 2) * p ** k, "n=1 mid-theta"
     # k = s-1: the intervals are single points i = p^s - p + theta + 1.
     if i == ps - 1:
-        v = ps
-        return v, BranchWitness("n=1 last-exponent", k, theta, v)
-    v = (theta + 3) * p ** (s - 1)
-    return v, BranchWitness("n=1 top-block", k, theta, v)
+        return ps, "n=1 last-exponent"
+    return (theta + 3) * p ** (s - 1), "n=1 top-block"
 
 
 def min_pair_distance(ring: QuotientRing, spec: CodeSpec) -> int:
@@ -264,6 +250,9 @@ def consistency_scan(ring: QuotientRing,
     pair and Hamming distances must match their closed forms.  A code whose
     rank disagrees is recorded with ``dim_ok`` false and no oracle values,
     and the scan goes on.  Codes over budget are counted, not checked.
+    An entry whose distances disagree carries as ``witness`` the first
+    codeword attaining the oracle's pair minimum, or its Hamming minimum
+    when only that disagrees.
     """
     check_budget(budget)
     report = ScanReport()
@@ -288,6 +277,8 @@ def consistency_scan(ring: QuotientRing,
             oracle_pair, oracle_ham = res["min_pair"], res["min_hamming"]
             if oracle_pair != formula_pair:
                 witness = repr(code.word_at(res["pair_at"]))
+            elif oracle_ham != formula_ham:
+                witness = repr(code.word_at(res["hamming_at"]))
         report.entries.append(ScanEntry(
             spec_text=spec_to_text(spec),
             dim_p=dim_p,

@@ -113,7 +113,7 @@ def test_distance_formula_reports_its_branch(ring, spec, n, p, s, e1, capsys):
     assert code == 0
     d_sp, branch = min_pair_distance_field(n, p, s, e1)
     assert doc["results"][0]["formula"] == {
-        "branch": branch.rule, "d_sp": d_sp, "method": "closed-form"}
+        "branch": branch, "d_sp": d_sp, "method": "closed-form"}
 
 
 def test_distance_brute_over_budget_degrades(capsys):

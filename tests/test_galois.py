@@ -6,7 +6,6 @@ from paircodes.errors import (
     DegreeMismatch,
     DivisionByZero,
     InvalidValue,
-    NonUnit,
     NotPrime,
     ReducibleModulus,
     ZeroElement,
@@ -283,22 +282,13 @@ def test_chain_ring_arithmetic():
     f3 = Field(3, 1)
     R = ChainRing(f3)
     assert R.mul(R.u, R.u) == 0
-    e = R.make(1, 1)                               # 1 + u
-    assert R.inv(e) == R.make(1, 2)                # 1 - u
-    assert R.mul(e, R.inv(e)) == 1
-    with pytest.raises(NonUnit):
-        R.inv(R.u)
-    assert not R.is_unit(R.u)
-    assert R.is_unit(R.make(2, 1))
+    assert R.mul(R.make(1, 1), R.make(1, 2)) == 1  # (1 + u)(1 - u) = 1
     rng = random.Random(3)
     for _ in range(300):
         x, y, z = (rng.randrange(R.size) for _ in range(3))
         assert R.mul(x, y) == R.mul(y, x)
         assert R.mul(R.mul(x, y), z) == R.mul(x, R.mul(y, z))
         assert R.mul(x, R.add(y, z)) == R.add(R.mul(x, y), R.mul(x, z))
-        assert R.add(x, R.neg(x)) == 0
-        if R.is_unit(x):
-            assert R.mul(x, R.inv(x)) == 1
 
 
 def test_chain_ring_text_forms():

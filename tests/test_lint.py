@@ -72,3 +72,29 @@ def test_only_codes_names_the_code_families():
             if name in records:
                 found.append(f"{path.name}:{name}")
     assert found == []
+
+
+def test_every_dataclass_field_is_read():
+    # A record field that nothing reads is dead state.  A field counts as
+    # read when src loads it as an attribute or names it as a string key,
+    # as in getattr(spec, key).
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                fields += [(f"{path.name}:{node.name}", stmt.target.id)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str):
+                read.add(node.value)
+    assert fields
+    assert [f"{owner}.{name}" for owner, name in fields
+            if name not in read] == []

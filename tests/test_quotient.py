@@ -146,10 +146,16 @@ def test_ring_mismatch_between_quotients():
 
 
 def test_binomial_power_matches_repeated_multiplication():
-    for ring in _rings():
+    # Every exponent, so the u*beta*a^r half of the range is compared too;
+    # GF(4) with n = 3 and GF(9) with n = 2, beta != 0 cover m = 2.
+    f4, f9 = Field(2, 2), Field(3, 2)
+    for ring in _rings() + [
+            QuotientRing(f4, 3, 2, f4.parse_element("0,1")),
+            QuotientRing(f9, 2, 2, f9.parse_element("2,1"),
+                         beta=f9.parse_element("1,2"))]:
         top = ring.p ** ring.s * (2 if ring.is_chain else 1)
         acc = ring.one()
-        for i in range(min(top, 12) + 1):
+        for i in range(top + 1):
             assert binomial_power(ring, i) == acc
             acc = qmul(acc, ring.radical())
 

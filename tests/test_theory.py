@@ -10,6 +10,7 @@ from paircodes.codes import (
     Type3,
     build_code,
     random_unit,
+    spec_from_text,
     spec_to_text,
 )
 from paircodes.errors import (
@@ -118,12 +119,9 @@ def test_min_pair_distance_field_guards():
 
 
 def test_formula_branches_reported():
-    _, w = min_pair_distance_field(1, 3, 2, 1)
-    assert w.rule == "n=1 interval-start" and w.k == 0
-    _, w = min_pair_distance_field(1, 3, 2, 8)
-    assert w.rule == "n=1 last-exponent"
-    _, w = min_pair_distance_field(2, 3, 2, 5)
-    assert w.rule == "n>=2" and (w.k, w.theta) == (0, 1)
+    assert min_pair_distance_field(1, 3, 2, 1) == (3, "n=1 interval-start")
+    assert min_pair_distance_field(1, 3, 2, 8) == (9, "n=1 last-exponent")
+    assert min_pair_distance_field(2, 3, 2, 5) == (6, "n>=2")
 
 
 def test_pair_vs_hamming_formula_relations():
@@ -330,11 +328,13 @@ def test_rank_mismatch_is_one_failing_entry(monkeypatch):
 
 def test_planted_hamming_closed_form_fails_exactly_its_entries(monkeypatch):
     # Chain-ring entries carry the Hamming closed form of their torsion
-    # exponent; one planted wrong value fails the entries that read it.
+    # exponent; one planted wrong value fails the entries that read it, and
+    # each names as witness the first word of least Hamming weight.
+    budget = 1 << 12
     for ring in (QuotientRing(Field(2, 1), 1, 3, 1, beta=0),
                  QuotientRing(Field(3, 1), 1, 2, 1, beta=1)):
         def scan():
-            return consistency_scan(ring, budget=1 << 12, unit_samples=1,
+            return consistency_scan(ring, budget=budget, unit_samples=1,
                                     rng=random.Random(3))
 
         clean = scan()
@@ -349,11 +349,16 @@ def test_planted_hamming_closed_form_fails_exactly_its_entries(monkeypatch):
             if got.formula_hamming == want.formula_hamming:
                 assert got.to_dict() == want.to_dict()
                 continue
+            code = build_code(ring, spec_from_text(got.spec_text, ring))
+            lightest = code.word_at(scan_minima(code, budget)["hamming_at"])
+            assert hamming_weight(lightest) == got.oracle_hamming
             assert got.to_dict() == {
                 **want.to_dict(), "ok": False,
-                "formula_hamming": want.formula_hamming + 1}
-            planted.append(got)
-        assert planted and report.mismatches == planted
+                "formula_hamming": want.formula_hamming + 1,
+                "witness": repr(lightest)}
+            planted.append(got.spec_text)
+        assert planted and [e.spec_text for e in report.mismatches] == planted
+        assert ring.beta or "type1:k=2" in planted
         assert len(report.entries) == len(clean.entries)
 
 
