@@ -195,8 +195,13 @@ def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
 
     For the families with a free polynomial b, the zero choice is always
     included plus `unit_samples` random units drawn from `rng` (seeded
-    deterministically when omitted); b varies fastest.
+    deterministically when omitted); b varies fastest.  `unit_samples` must
+    be a non-negative integer.
     """
+    if as_int(unit_samples) < 0:
+        raise InvalidValue(
+            f"the number of unit samples must be at least 0, got "
+            f"{unit_samples}")
     ps = ring.p ** ring.s
     bs = None
     out: list[CodeSpec] = []
@@ -274,7 +279,10 @@ def _standard_exponents(ring: QuotientRing, spec: CodeSpec) -> tuple[int, int]:
 # --- GF(p) linear algebra ---------------------------------------------------
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form over GF(p); returns (nonzero rows, pivots)."""
+    """Row-reduced echelon form over GF(p); returns (nonzero rows, pivots).
+
+    The rows are a compact copy, so a code's basis does not keep the whole
+    elimination matrix alive."""
     mat = np.array(mat, dtype=np.int64) % p
     rows, cols = mat.shape
     r = 0
@@ -294,7 +302,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         mat = (mat - np.outer(col, mat[r])) % p
         pivots.append(c)
         r += 1
-    return mat[:r], pivots
+    return mat[:r].copy(), pivots
 
 
 def _gfp_digits(values, p: int, d: int) -> np.ndarray:
@@ -426,9 +434,21 @@ def ideal_code(ring: QuotientRing,
 
 
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
-    """Materialize the ideal described by `spec` as a row-reduced basis."""
-    raw = ideal_code(ring, generators(ring, spec))
-    code = ConstacyclicCode(ring, spec, raw.basis, raw.pivots)
+    """Materialize the ideal described by `spec` as a row-reduced basis.
+
+    Records with the same generator coefficients span the same ideal, so
+    `ideal_code` runs once per distinct generator tuple of the ring, which
+    remembers the (basis, pivots) for as long as it lives.  Every record is
+    still validated, and its rank is still checked against its own
+    classified size.
+    """
+    gens = generators(ring, spec)
+    key = tuple(g.coeffs for g in gens)
+    known = ring._ideals.get(key)
+    if known is None:
+        raw = ideal_code(ring, gens)
+        known = ring._ideals[key] = (raw.basis, tuple(raw.pivots))
+    code = ConstacyclicCode(ring, spec, known[0], list(known[1]))
     want = log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(

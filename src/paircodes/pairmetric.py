@@ -169,8 +169,21 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
     Returns the minima, the first counter attaining each, whether the
     prefix is every nonzero codeword, and its last counter.  The zero code
     yields minima of None.
+
+    The result depends only on the basis and the budget, so the kernel runs
+    once per distinct (basis, budget) of the ring, which remembers the
+    result for as long as it lives; every call gets a fresh dict.
     """
     check_budget(budget)
+    key = (code.basis.tobytes(), budget)
+    known = code.ring._scans.get(key)
+    if known is None:
+        known = code.ring._scans[key] = _scan(code, budget)
+    return dict(known)
+
+
+def _scan(code: ConstacyclicCode, budget: int) -> dict:
+    """`scan_minima` of a basis the ring has not scanned at this budget."""
     ring = code.ring
     p, dim = ring.p, code.dim_p
     total = code.size

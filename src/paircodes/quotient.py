@@ -71,6 +71,12 @@ class QuotientRing:
         # and the short text of spec_to_text (both in codes).
         self._unit_kinds: dict[tuple[int, ...], str] = {}
         self._short_texts: dict[tuple[int, ...], str] = {}
+        # Work done once per ring: build_code's (basis, pivots) by generator
+        # coefficients, and scan_minima's result by (basis bytes, budget).
+        # They hold plain data, nothing that refers back to the ring, so they
+        # live exactly as long as the ring.
+        self._ideals: dict[tuple, tuple] = {}
+        self._scans: dict[tuple[bytes, int], dict] = {}
 
     @property
     def is_chain(self) -> bool:

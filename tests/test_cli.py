@@ -367,3 +367,13 @@ def test_installed_script(capsys):
                               env=TREE_ENV)
         assert proc.returncode == 0, (command, proc.stderr)
         assert proc.stdout == expected, command
+
+
+@pytest.mark.parametrize("command", [["scan", "consistency"],
+                                     ["scan", "mds"], ["tables"]])
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_negative_unit_samples_exit_2(command, samples, capsys):
+    code, out, err = run_cli(
+        command + CHAIN_B0 + ["--unit-samples", samples], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidValue"

@@ -695,3 +695,51 @@ def test_same_rowspace_on_different_generating_sets():
         basis, piv = rref_mod_p(np.array(rows), ring.p)
         other = ConstacyclicCode(ring, None, basis, piv)
         assert base_code.same_rowspace(other)
+
+
+def test_a_code_basis_owns_its_rows():
+    # rref_mod_p hands back a compact copy of the nonzero rows, so a basis
+    # does not keep the whole elimination matrix (N*d rows per generator)
+    # alive.
+    for ring in _small_rings():
+        for spec in all_code_specs(ring, 1, random.Random(1)):
+            assert build_code(ring, spec).basis.base is None, (ring, spec)
+
+
+@pytest.mark.parametrize("samples", [-1, -3, 1.5, True, "2", None])
+def test_all_code_specs_refuses_a_bad_unit_sample_count(samples):
+    # Refused on every ring, not only where a b is drawn: a negative count
+    # is never read as 0, nor True as 1.
+    for ring in (QuotientRing(F2, 1, 2, 1, beta=0), QuotientRing(F3, 2, 1, 2)):
+        with pytest.raises(InvalidValue):
+            codes.all_code_specs(ring, samples)
+
+
+def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
+    # Type2 records with b = 0 differ only in j and share the generator u,
+    # so the second build reuses the ideal the first one built.  Each record
+    # is still validated, and its rank is still compared with its own
+    # classified size.
+    ring = QuotientRing(F2, 1, 2, 1, beta=0)
+    zero = ring.field_quotient().zero()
+    first, second = Type2(j=2, k=0, b=zero), Type2(j=3, k=0, b=zero)
+    assert [g.coeffs for g in generators(ring, first)] == \
+        [g.coeffs for g in generators(ring, second)]
+    runs = []
+    real_ideal_code, real_log_size = codes.ideal_code, codes.log_size
+
+    def counting_ideal_code(ring, gens):
+        runs.append(gens)
+        return real_ideal_code(ring, gens)
+
+    monkeypatch.setattr(codes, "ideal_code", counting_ideal_code)
+    rank = build_code(ring, first).dim_p
+    monkeypatch.setattr(codes, "log_size", lambda ring, spec:
+                        real_log_size(ring, spec) + (spec == second))
+    with pytest.raises(VerificationMismatch) as exc:
+        build_code(ring, second)
+    assert exc.value.rank == rank
+    with pytest.raises(ConstraintViolation):
+        build_code(ring, Type2(j=1, k=0, b=zero))
+    assert build_code(ring, first).dim_p == rank
+    assert len(runs) == 1

@@ -319,3 +319,17 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
             want[key_min] = min(wts)
             want[key_at] = wts.index(want[key_min]) + 1
         assert scan_minima(code, budget) == want, budget
+
+
+def test_scan_minima_returns_a_fresh_dict_each_call():
+    # The ring remembers each scan; what a caller does with its result
+    # does not reach the next caller.
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    code = build_code(ring, Type1(2))
+    first = scan_minima(code, 1 << 10)
+    want = dict(first)
+    first["min_pair"] = -1
+    first.clear()
+    again = scan_minima(build_code(ring, Type1(2)), 1 << 10)
+    assert again == want and again is not first
+    assert scan_minima(code, 1 << 3) != want     # the budget is in the key

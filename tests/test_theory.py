@@ -1,14 +1,19 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from paircodes.codes import (
+    DEFAULT_BUDGET,
     ChainPrincipal,
     FieldPower,
     Type1,
     Type2,
     Type3,
     build_code,
+    generators,
+    log_size,
     random_unit,
     spec_from_text,
     spec_to_text,
@@ -381,3 +386,56 @@ def test_planted_wrong_standard_exponent_fails_the_scan(monkeypatch):
         e.spec_text for e in report.entries
         if e.spec_text.startswith("type2:") and not e.spec_text.endswith(
             ",b=0")}
+
+
+def test_consistency_scan_builds_each_ideal_and_scans_each_code_once(
+        monkeypatch):
+    ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    # The distinct generator tuples of the specs the scan checks, and the
+    # distinct nonzero bases they span, counted on a second ring.
+    twin = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+    tuples, bases = set(), set()
+    for spec in all_code_specs(twin, rng=random.Random(7)):
+        if twin.p ** log_size(twin, spec) > DEFAULT_BUDGET:
+            continue
+        gens = generators(twin, spec)
+        tuples.add(tuple(g.coeffs for g in gens))
+        basis = codes.ideal_code(twin, gens).basis
+        if basis.shape[0]:
+            bases.add(basis.tobytes())
+    ideal_runs, kernel_runs = [], []
+    real_ideal_code, real_scan = codes.ideal_code, pairmetric._scan
+
+    def counting_ideal_code(ring, gens):
+        ideal_runs.append(gens)
+        return real_ideal_code(ring, gens)
+
+    def counting_scan(code, budget):
+        kernel_runs.append(budget)
+        return real_scan(code, budget)
+
+    monkeypatch.setattr(codes, "ideal_code", counting_ideal_code)
+    monkeypatch.setattr(pairmetric, "_scan", counting_scan)
+    report = consistency_scan(ring, rng=random.Random(7))
+    assert report.ok and report.skipped == 0
+    assert len(ideal_runs) == len(tuples) < len(report.entries)
+    assert len(kernel_runs) == len(bases) < len(tuples)
+
+
+def test_a_dropped_ring_is_freed():
+    # The ring's memos hold plain data, never a code or a polynomial that
+    # refers back to the ring, so dropping the ring frees it by reference
+    # counting alone, with no cycle for the collector to find.
+    gc.disable()
+    try:
+        ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+        report = consistency_scan(ring, budget=1 << 10,
+                                  rng=random.Random(1))
+        code = build_code(ring, Type1(2))
+        result = scan_minima(code)
+        ref = weakref.ref(ring)
+        assert report.ok and ring._ideals and ring._scans
+        del ring, report, code, result
+        assert ref() is None
+    finally:
+        gc.enable()
