@@ -195,20 +195,18 @@ def cmd_scan(args, out) -> int:
     ring = _ring_from(args)
     rng = random.Random(args.seed)
     if args.target == "consistency":
-        report = consistency_scan(ring, budget=args.budget,
-                                  unit_samples=args.unit_samples, rng=rng)
+        report = consistency_scan(ring, budget=args.budget, rng=rng)
         _emit(_ring_config(ring), [report.to_dict()], out)
         return EXIT_OK if report.ok else EXIT_MISMATCH
-    verdicts = mds_classify(ring, unit_samples=args.unit_samples, rng=rng)
+    verdicts = mds_classify(ring, rng=rng)
     _emit(_ring_config(ring), [v.to_dict() for v in verdicts], out)
     return EXIT_OK
 
 
-def _mds_rows(ring: QuotientRing, rng: random.Random,
-              unit_samples: int) -> list[dict]:
+def _mds_rows(ring: QuotientRing, rng: random.Random) -> list[dict]:
     rows = []
     seen = set()
-    for v in mds_classify(ring, unit_samples=unit_samples, rng=rng):
+    for v in mds_classify(ring, rng=rng):
         if not v.is_mds or v.trivial:
             continue
         gen = spec_generator_text(ring, v.spec)
@@ -228,7 +226,7 @@ def _mds_rows(ring: QuotientRing, rng: random.Random,
 def cmd_tables(args, out) -> int:
     ring = _ring_from(args)
     rng = random.Random(args.seed)
-    rows = _mds_rows(ring, rng, args.unit_samples)
+    rows = _mds_rows(ring, rng)
     if args.format == "json":
         _emit(_ring_config(ring), rows, out)
         return EXIT_OK
@@ -290,14 +288,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_ring_args(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--unit-samples", type=int, default=3)
     sp.set_defaults(fn=cmd_scan)
 
     sp = sub.add_parser("tables", help="MDS rows for a ring")
     _add_ring_args(sp)
     sp.add_argument("--format", choices=["md", "csv", "json"], default="md")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--unit-samples", type=int, default=3)
     sp.set_defaults(fn=cmd_tables)
 
     for name, sp in sub.choices.items():

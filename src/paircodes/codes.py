@@ -188,20 +188,15 @@ def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
         raise RingMismatch("b must live in the companion field quotient")
 
 
-def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
+def all_code_specs(ring: QuotientRing, *,
                    rng: random.Random | None = None) -> list[CodeSpec]:
     """Every admissible parameter record for the ring, in a fixed order:
     the families and their keys as the ring's table lists them.
 
     For the families with a free polynomial b, the zero choice is always
-    included plus `unit_samples` random units drawn from `rng` (seeded
-    deterministically when omitted); b varies fastest.  `unit_samples` must
-    be a non-negative integer.
+    included plus three random units drawn from `rng` (seeded
+    deterministically when omitted); b varies fastest.
     """
-    if as_int(unit_samples) < 0:
-        raise InvalidValue(
-            f"the number of unit samples must be at least 0, got "
-            f"{unit_samples}")
     ps = ring.p ** ring.s
     bs = None
     out: list[CodeSpec] = []
@@ -220,8 +215,7 @@ def all_code_specs(ring: QuotientRing, unit_samples: int = 3,
             if bs is None:
                 fq = ring.field_quotient()
                 rng = random.Random(0) if rng is None else rng
-                bs = [fq.zero()] + [random_unit(fq, rng)
-                                    for _ in range(unit_samples)]
+                bs = [fq.zero()] + [random_unit(fq, rng) for _ in range(3)]
             out += [family(**named, b=b) for b in bs]
     return out
 
@@ -375,7 +369,7 @@ class ConstacyclicCode:
     def coords_at(self, counter: int) -> np.ndarray:
         """GF(p) coordinates of codeword number `counter`: its base-p
         digits, least significant first, weight the basis rows."""
-        if not 0 <= counter < self.size:
+        if not 0 <= as_int(counter) < self.size:
             raise InvalidValue(f"no codeword number {counter} among "
                                f"{self.size}")
         digits = []
@@ -552,7 +546,9 @@ def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
         if key == "b":
             given["b"] = tail.strip()
             break
-        val, _, rest = tail.partition(",")
+        val, comma, rest = tail.partition(",")
+        if comma and not rest.strip():
+            raise ConstraintViolation(f"malformed parameter text: {text!r}")
         given[key] = val.strip()
     if head not in _FAMILIES:
         raise ConstraintViolation(f"unknown code family {head!r}")

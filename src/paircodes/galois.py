@@ -60,6 +60,8 @@ def parse_int(text: str) -> int:
 def as_int(value) -> int:
     """`value` as an int.  Python and numpy integers are read; bools, floats,
     text and anything else are refused, never truncated."""
+    if type(value) is int:          # the common case, checked first
+        return value
     if isinstance(value, bool):
         raise InvalidValue(f"not an integer: {value!r}")
     try:
@@ -182,9 +184,9 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
+        if not _is_prime(as_int(p)):
             raise NotPrime(f"{p} is not prime")
-        if m < 1:
+        if as_int(m) < 1:
             raise DegreeMismatch("extension degree must be at least 1")
         if modulus is None:
             modulus = _smallest_irreducible(p, m)
@@ -439,7 +441,7 @@ def binomial_irreducible(field: Field, n: int, lam) -> bool:
     field.check_element(lam)
     if lam == 0:
         raise ZeroElement("x^n - 0 is never irreducible")
-    if n < 1:
+    if as_int(n) < 1:
         raise InvalidValue(f"n must be positive, got {n}")
     if n == 1:
         return True

@@ -42,7 +42,7 @@ class QuotientRing:
     def __init__(self, field: Field, n: int, s: int, alpha0,
                  beta: int | None = None):
         p = field.p
-        if n < 1 or s < 1:
+        if as_int(n) < 1 or as_int(s) < 1:
             raise ConstructionRefused("n and s must be positive")
         if math.gcd(n, p) != 1:
             raise ConstructionRefused(
@@ -117,7 +117,7 @@ class QuotientRing:
 
     def monomial(self, j: int, coeff: int = 1) -> "QPoly":
         """coeff * x^j for 0 <= j < N; other j are refused, not reduced."""
-        if not 0 <= j < self.N:
+        if not 0 <= as_int(j) < self.N:
             raise ExponentOutOfRange(
                 f"exponent {j} outside [0, {self.N}) for {self!r}")
         cs = [0] * self.N
@@ -269,7 +269,7 @@ def binomial_power(ring: QuotientRing, i: int) -> QPoly:
     """
     ps = ring.p ** ring.s
     top = ps * (2 if ring.is_chain else 1)
-    if not 0 <= i <= top:
+    if not 0 <= as_int(i) <= top:
         raise ExponentOutOfRange(
             f"exponent {i} outside [0, {top}] for {ring!r}")
     w, r = divmod(i, ps)

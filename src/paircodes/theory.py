@@ -39,6 +39,7 @@ from .errors import (
     ExponentOutOfRange,
     VerificationMismatch,
 )
+from .galois import as_int
 # min_distance_brute is looked up here by bench/spans.py.
 from .pairmetric import min_distance_brute, scan_minima  # noqa: F401
 from .quotient import QuotientRing
@@ -50,6 +51,7 @@ def binomial_power_weight(p: int, s: int, i: int) -> int:
     By Lucas' theorem the number of nonzero binomial coefficients C(i, j)
     mod p is the product of (digit + 1) over the base-p digits of i.
     """
+    p, s, i = as_int(p), as_int(s), as_int(i)
     if not 0 <= i < p ** s:
         raise ExponentOutOfRange(f"need 0 <= i < {p ** s}, got {i}")
     w = 1
@@ -61,6 +63,7 @@ def binomial_power_weight(p: int, s: int, i: int) -> int:
 
 def exponent_interval(p: int, s: int, i: int) -> tuple[int, int, int, int]:
     """(k, theta, lo, hi) for the unique interval containing i."""
+    p, s, i = as_int(p), as_int(s), as_int(i)
     if not 1 <= i <= p ** s - 1:
         raise ExponentOutOfRange(
             f"the interval partition covers 1..{p ** s - 1}, got {i}")
@@ -80,6 +83,7 @@ def min_hamming_distance(p: int, s: int, i: int) -> int:
     Independent of n: 1 at i = 0, 0 at i = p^s, else (theta+2)*p^k on the
     (k, theta) interval.
     """
+    p, s, i = as_int(p), as_int(s), as_int(i)
     if i == 0:
         return 1
     if i == p ** s:
@@ -95,6 +99,7 @@ def min_pair_distance_field(n: int, p: int, s: int,
 
     The value does not depend on m or on the choice of a0.
     """
+    n, p, s, i = as_int(n), as_int(p), as_int(s), as_int(i)
     if n < 1:
         raise ConstraintViolation("n must be positive")
     if n % p == 0:
@@ -171,15 +176,14 @@ def _verdict(ring: QuotientRing, spec: CodeSpec) -> MdsVerdict:
                       trivial=clog in (0, ring.N * alog))
 
 
-def mds_classify(ring: QuotientRing, unit_samples: int = 3,
+def mds_classify(ring: QuotientRing, *,
                  rng: random.Random | None = None) -> list[MdsVerdict]:
     """Closed-form MDS verdict for every admissible code of the ring.
 
     Nothing is enumerated here; :func:`consistency_scan` checks the closed
     forms against the exhaustive oracle.
     """
-    return [_verdict(ring, spec)
-            for spec in all_code_specs(ring, unit_samples, rng)]
+    return [_verdict(ring, spec) for spec in all_code_specs(ring, rng=rng)]
 
 
 @dataclass
@@ -240,8 +244,7 @@ class ScanReport:
 
 
 def consistency_scan(ring: QuotientRing,
-                     budget: int = DEFAULT_BUDGET,
-                     unit_samples: int = 3,
+                     budget: int = DEFAULT_BUDGET, *,
                      rng: random.Random | None = None) -> ScanReport:
     """Exhaustively cross-check closed forms against enumeration.
 
@@ -256,7 +259,7 @@ def consistency_scan(ring: QuotientRing,
     """
     check_budget(budget)
     report = ScanReport()
-    for spec in all_code_specs(ring, unit_samples, rng):
+    for spec in all_code_specs(ring, rng=rng):
         log_p_size = _log_size(ring, spec)      # admissible as enumerated
         if ring.p ** log_p_size > budget:
             report.skipped += 1

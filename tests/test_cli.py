@@ -193,6 +193,16 @@ def test_tables_deterministic_across_runs(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_tables_depend_only_on_the_ring(fmt, capsys):
+    # One row per generator text, which does not show b, so the units the
+    # seed draws never reach the output.
+    outs = [run_cli(["tables", *CHAIN_B0, "--format", fmt, "--seed", seed],
+                    capsys) for seed in ("1", "2")]
+    assert outs[0][0] == 0 and outs[0][1]
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["--help"],
@@ -282,11 +292,14 @@ def _ring(alpha0="2", *extra):
     return ["--p", "3", "--s", "1", "--n", "2", "--alpha0", alpha0, *extra]
 
 
-# Spec texts with a key unknown to the family or given twice.
+# Spec texts with a key unknown to the family or given twice, or with a
+# trailing comma.
 KEY_REPROS = [
     (FIELD_RING, "field-power:i=2,zz=5"),
     (CHAIN_B0, "type1:k=2,k=3"),
     (CHAIN_B0, "type2:j=7,k=1,t=4,b=1"),
+    (FIELD_RING, "field-power:i=1,"),
+    (CHAIN_B0, "type1:k=1,"),
 ]
 
 
@@ -368,12 +381,3 @@ def test_installed_script(capsys):
         assert proc.returncode == 0, (command, proc.stderr)
         assert proc.stdout == expected, command
 
-
-@pytest.mark.parametrize("command", [["scan", "consistency"],
-                                     ["scan", "mds"], ["tables"]])
-@pytest.mark.parametrize("samples", ["-3", "-1"])
-def test_negative_unit_samples_exit_2(command, samples, capsys):
-    code, out, err = run_cli(
-        command + CHAIN_B0 + ["--unit-samples", samples], capsys)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "InvalidValue"

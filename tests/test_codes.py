@@ -35,7 +35,11 @@ from paircodes.errors import (
     RingMismatch,
     VerificationMismatch,
 )
-from paircodes.galois import Field, irreducible_binomial_constants
+from paircodes.galois import (
+    Field,
+    binomial_irreducible,
+    irreducible_binomial_constants,
+)
 from paircodes.quotient import QuotientRing, binomial_power, consta_shift, qmul
 from paircodes.theory import all_code_specs
 from test_acceptance import grid_rings
@@ -60,7 +64,7 @@ def _small_rings():
 def test_dimension_matches_classified_size_everywhere():
     rng = random.Random(11)
     for ring in _small_rings():
-        for spec in all_code_specs(ring, unit_samples=2, rng=rng):
+        for spec in all_code_specs(ring, rng=rng):
             code = build_code(ring, spec)
             assert code.dim_p == log_size(ring, spec), spec_to_text(spec)
 
@@ -217,7 +221,7 @@ def test_spec_validation_errors():
         build_code(chain0, Type2(j=2, k=0, b=binomial_power(fq, 1)))
 
 
-def _reference_specs(ring, unit_samples, rng):
+def _reference_specs(ring, rng):
     """The admissible records as nested loops over the ranges of Dinh,
     J. Algebra 324 (2010), written out family by family."""
     ps = ring.p ** ring.s
@@ -226,7 +230,7 @@ def _reference_specs(ring, unit_samples, rng):
     if ring.beta != 0:
         return [ChainPrincipal(i) for i in range(2 * ps + 1)]
     fq = ring.field_quotient()
-    bs = [fq.zero()] + [random_unit(fq, rng) for _ in range(unit_samples)]
+    bs = [fq.zero()] + [random_unit(fq, rng) for _ in range(3)]
     out = [Type1(k) for k in range(ps + 1)]
     for k in range(ps):
         for j in range(-(-(ps + k) // 2), ps):
@@ -258,12 +262,11 @@ def test_all_code_specs_match_the_reference_loops():
     kinds = set()
     for ring in _family_rings():
         kinds.add((ring.p, ring.n, ring.beta))
-        for samples in (0, 2):
-            got = codes.all_code_specs(ring, samples, random.Random(4))
-            want = _reference_specs(ring, samples, random.Random(4))
-            assert [spec_to_text(s) for s in got] == \
-                [spec_to_text(s) for s in want], (ring, samples)
-            assert got == want
+        got = codes.all_code_specs(ring, rng=random.Random(4))
+        want = _reference_specs(ring, random.Random(4))
+        assert [spec_to_text(s) for s in got] == \
+            [spec_to_text(s) for s in want], ring
+        assert got == want
     assert len(kinds) == 15
 
 
@@ -274,7 +277,7 @@ def test_validate_spec_admits_exactly_the_enumerated_records():
     for ring in _family_rings():
         if ring.p ** ring.s > 9:
             continue
-        specs = codes.all_code_specs(ring, 1, random.Random(2))
+        specs = codes.all_code_specs(ring, rng=random.Random(2))
         admitted = {spec_to_text(s) for s in specs}
         refused = 0
         for spec in specs:
@@ -323,7 +326,7 @@ def test_spec_text_inverts_for_every_enumerated_record():
     for ring in _family_rings():
         if ring.p ** ring.s > 9:
             continue
-        for spec in codes.all_code_specs(ring, 2, random.Random(6)):
+        for spec in codes.all_code_specs(ring, rng=random.Random(6)):
             assert spec_from_text(spec_to_text(spec), ring) == spec
     with pytest.raises(TypeError):
         spec_to_text("type1:k=1")
@@ -364,6 +367,41 @@ def test_record_keys_must_be_integers():
         ring, FieldPower(1))
 
 
+F5 = Field(5, 1)
+RING = QuotientRing(F2, 1, 2, 1)
+
+# Every integer parameter outside the per-element arithmetic: each call,
+# with arguments it accepts.
+INTEGER_CALLS = {
+    "Field": (Field, (2, 1)),
+    "QuotientRing": (lambda n, s: QuotientRing(F2, n, s, 1), (1, 2)),
+    "binomial_irreducible": (lambda n: binomial_irreducible(F5, n, 2), (2,)),
+    "irreducible_binomial_constants":
+        (lambda n: irreducible_binomial_constants(F5, n), (2,)),
+    "binomial_power": (lambda i: binomial_power(RING, i), (1,)),
+    "monomial": (RING.monomial, (1,)),
+    "coords_at": (build_code(RING, FieldPower(1)).coords_at, (1,)),
+    "binomial_power_weight": (theory.binomial_power_weight, (2, 3, 1)),
+    "exponent_interval": (theory.exponent_interval, (2, 3, 1)),
+    "min_hamming_distance": (theory.min_hamming_distance, (2, 3, 1)),
+    "min_pair_distance_field": (theory.min_pair_distance_field, (1, 2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+@pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
+def test_integer_parameters_refuse_other_values(name, value):
+    # Each integer argument in turn is replaced by `value`: refused with
+    # InvalidValue, never truncated, read as 1 or left to a bare TypeError.
+    call, good = INTEGER_CALLS[name]
+    call(*good)
+    for at in range(len(good)):
+        args = list(good)
+        args[at] = value
+        with pytest.raises(InvalidValue):
+            call(*args)
+
+
 def _count_validate_spec(monkeypatch) -> list:
     checked = []
 
@@ -380,13 +418,13 @@ def _count_validate_spec(monkeypatch) -> list:
 def test_sweeps_do_not_recheck_enumerated_records(monkeypatch):
     ring = QuotientRing(F2, 1, 3, 1, beta=0)
     budget = 1 << 10
-    specs = codes.all_code_specs(ring, 2, random.Random(5))
+    specs = codes.all_code_specs(ring, rng=random.Random(5))
     skipped = [spec_to_text(s) for s in specs
                if ring.p ** log_size(ring, s) > budget]
     checked = _count_validate_spec(monkeypatch)
-    verdicts = theory.mds_classify(ring, 2, random.Random(5))
+    verdicts = theory.mds_classify(ring, rng=random.Random(5))
     assert len(verdicts) == len(specs) and checked == []
-    report = theory.consistency_scan(ring, budget, 2, random.Random(5))
+    report = theory.consistency_scan(ring, budget, rng=random.Random(5))
     assert report.ok and report.skipped == len(skipped) > 0
     assert checked and not set(skipped) & {spec_to_text(s) for s in checked}
 
@@ -408,7 +446,7 @@ def test_b_kind_is_decided_once_by_the_record(monkeypatch):
     for ring in _small_rings():
         if ring.beta != 0:
             continue
-        specs = all_code_specs(ring, unit_samples=2, rng=random.Random(3))
+        specs = all_code_specs(ring, rng=random.Random(3))
         assert any(isinstance(s, (Type2, Type3)) for s in specs)
         calls = _count_unit_kind(monkeypatch)
         for spec in specs:
@@ -438,8 +476,8 @@ def test_each_b_is_folded_and_formatted_once_per_quotient(monkeypatch):
         if ring.beta != 0:
             continue
         fq = ring.field_quotient()
-        specs = all_code_specs(ring, unit_samples=3, rng=random.Random(5))
-        theory.mds_classify(ring, unit_samples=3, rng=random.Random(5))
+        specs = all_code_specs(ring, rng=random.Random(5))
+        theory.mds_classify(ring, rng=random.Random(5))
         for spec in specs:
             spec_to_text(spec)
         bs = {s.b.coeffs for s in specs if isinstance(s, (Type2, Type3))}
@@ -613,8 +651,7 @@ def test_ideal_code_matches_qpoly_reference():
     ]
     checked = 0
     for ring in rings:
-        for spec in all_code_specs(ring, unit_samples=2,
-                                   rng=random.Random(31)):
+        for spec in all_code_specs(ring, rng=random.Random(31)):
             gens = generators(ring, spec)
             code = codes.ideal_code(ring, gens)
             basis, pivots = rref_mod_p(_reference_ideal_rows(ring, gens),
@@ -702,17 +739,19 @@ def test_a_code_basis_owns_its_rows():
     # does not keep the whole elimination matrix (N*d rows per generator)
     # alive.
     for ring in _small_rings():
-        for spec in all_code_specs(ring, 1, random.Random(1)):
+        for spec in all_code_specs(ring, rng=random.Random(1)):
             assert build_code(ring, spec).basis.base is None, (ring, spec)
 
 
-@pytest.mark.parametrize("samples", [-1, -3, 1.5, True, "2", None])
-def test_all_code_specs_refuses_a_bad_unit_sample_count(samples):
-    # Refused on every ring, not only where a b is drawn: a negative count
-    # is never read as 0, nor True as 1.
-    for ring in (QuotientRing(F2, 1, 2, 1, beta=0), QuotientRing(F3, 2, 1, 2)):
-        with pytest.raises(InvalidValue):
-            codes.all_code_specs(ring, samples)
+def test_the_sweeps_take_rng_by_keyword_only():
+    # A second positional argument (an old unit-sample count) is refused,
+    # never taken as the random generator.
+    ring = QuotientRing(F2, 1, 2, 1, beta=0)
+    for sweep in (codes.all_code_specs, theory.mds_classify):
+        with pytest.raises(TypeError):
+            sweep(ring, 2)
+    with pytest.raises(TypeError):
+        theory.consistency_scan(ring, 1 << 10, 2)
 
 
 def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):

@@ -98,3 +98,26 @@ def test_every_dataclass_field_is_read():
     assert fields
     assert [f"{owner}.{name}" for owner, name in fields
             if name not in read] == []
+
+
+def test_every_cli_option_is_read():
+    # An option whose args.<dest> nothing reads is left over from deleted
+    # plumbing: argparse would accept it and change nothing.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    options, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and node.func.attr == "add_argument":
+            kw = {k.arg: k.value for k in node.keywords}
+            flag = node.args[0].value
+            if not flag.startswith("--") or (
+                    "action" in kw and kw["action"].value == "version"):
+                continue
+            dest = kw["dest"].value if "dest" in kw else \
+                flag[2:].replace("-", "_")
+            options.append((flag, dest))
+        elif isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+    assert len(options) > 10
+    assert [flag for flag, dest in options if dest not in read] == []

@@ -193,8 +193,7 @@ def test_trivial_means_the_zero_code_or_the_full_space():
     f3 = Field(3, 1)
     for ring in (QuotientRing(f3, 2, 1, 2), QuotientRing(f3, 1, 2, 1, beta=1),
                  QuotientRing(Field(2, 1), 1, 2, 1, beta=0)):
-        for spec in all_code_specs(ring, unit_samples=1,
-                                   rng=random.Random(3)):
+        for spec in all_code_specs(ring, rng=random.Random(3)):
             code = build_code(ring, spec)
             assert mds_verdict(ring, spec).trivial == \
                 (code.dim_p in (0, code.ncols)), (ring, spec)
@@ -214,7 +213,7 @@ def test_mds_classify_chain_beta_nonzero_only_trivial():
 def test_all_code_specs_cover_beta_zero_families():
     ring = QuotientRing(Field(2, 1), 1, 2, 1, beta=0)
     rng = random.Random(5)
-    specs = all_code_specs(ring, unit_samples=1, rng=rng)
+    specs = all_code_specs(ring, rng=rng)
     kinds = {type(s).__name__ for s in specs}
     assert kinds == {"Type1", "Type2", "Type3"}
     # Type2 range: k in [0,3], j in [ceil((4+k)/2), 3]
@@ -240,14 +239,14 @@ def test_consistency_scan_chain_rings():
     assert report.ok and report.skipped == 0
     rng = random.Random(2)
     report = consistency_scan(QuotientRing(Field(2, 1), 1, 2, 1, beta=0),
-                              unit_samples=2, rng=rng)
+                              rng=rng)
     assert report.ok and report.skipped == 0
 
 
 def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
     ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
     budget = 1 << 6
-    specs = all_code_specs(ring, 2, random.Random(5))
+    specs = all_code_specs(ring, rng=random.Random(5))
     over = sum(build_code(ring, spec).size > budget for spec in specs)
     built = []
 
@@ -256,8 +255,7 @@ def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
         return build_code(ring, spec)
 
     monkeypatch.setattr(theory, "build_code", counting_build_code)
-    report = consistency_scan(ring, budget=budget, unit_samples=2,
-                              rng=random.Random(5))
+    report = consistency_scan(ring, budget=budget, rng=random.Random(5))
     assert report.ok and report.skipped == over > 0
     assert len(built) == len(report.entries)
 
@@ -276,8 +274,7 @@ def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
                         lambda ring, spec: min_pair_distance(ring, spec) + 1)
     monkeypatch.setattr(theory, "scan_minima", counting_scan)
     monkeypatch.setattr(pairmetric, "scan_minima", counting_scan)
-    report = consistency_scan(ring, budget=budget, unit_samples=1,
-                              rng=random.Random(3))
+    report = consistency_scan(ring, budget=budget, rng=random.Random(3))
     monkeypatch.undo()
     checked = [e for e in report.entries if e.dim_p]
     assert checked and len(scans) == len(checked)
@@ -304,8 +301,7 @@ def test_min_pair_distance_dispatches_by_family():
 def test_rank_mismatch_is_one_failing_entry(monkeypatch):
     ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
     budget = 1 << 8
-    clean = consistency_scan(ring, budget=budget, unit_samples=1,
-                             rng=random.Random(3))
+    clean = consistency_scan(ring, budget=budget, rng=random.Random(3))
     assert clean.ok
     bad = clean.entries[len(clean.entries) // 2]
     real_build_code = theory.build_code
@@ -316,8 +312,7 @@ def test_rank_mismatch_is_one_failing_entry(monkeypatch):
         return real_build_code(ring, spec)
 
     monkeypatch.setattr(theory, "build_code", failing_build_code)
-    report = consistency_scan(ring, budget=budget, unit_samples=1,
-                              rng=random.Random(3))
+    report = consistency_scan(ring, budget=budget, rng=random.Random(3))
     assert not report.ok and report.mismatches == [
         e for e in report.entries if e.spec_text == bad.spec_text]
     entry = report.mismatches[0]
@@ -339,8 +334,7 @@ def test_planted_hamming_closed_form_fails_exactly_its_entries(monkeypatch):
     for ring in (QuotientRing(Field(2, 1), 1, 3, 1, beta=0),
                  QuotientRing(Field(3, 1), 1, 2, 1, beta=1)):
         def scan():
-            return consistency_scan(ring, budget=budget, unit_samples=1,
-                                    rng=random.Random(3))
+            return consistency_scan(ring, budget=budget, rng=random.Random(3))
 
         clean = scan()
         assert clean.ok
@@ -379,8 +373,7 @@ def test_planted_wrong_standard_exponent_fails_the_scan(monkeypatch):
 
     monkeypatch.setattr(codes, "_standard_exponents", planted)
     monkeypatch.setattr(theory, "_standard_exponents", planted)
-    report = consistency_scan(ring, budget=1 << 8, unit_samples=1,
-                              rng=random.Random(3))
+    report = consistency_scan(ring, budget=1 << 8, rng=random.Random(3))
     assert not report.ok
     assert {e.spec_text for e in report.mismatches} == {
         e.spec_text for e in report.entries
