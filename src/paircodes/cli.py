@@ -30,6 +30,7 @@ from .codes import (
     DEFAULT_BUDGET,
     _standard_exponents,
     build_code,
+    check_budget,
     generators,
     log_size,
     spec_from_text,
@@ -161,6 +162,7 @@ def cmd_build_code(args, out) -> int:
 
 
 def cmd_distance(args, out) -> int:
+    check_budget(args.budget)
     ring = _ring_from(args)
     spec = spec_from_text(args.spec, ring)
     result: dict = {"spec": spec_to_text(spec)}
@@ -173,7 +175,7 @@ def cmd_distance(args, out) -> int:
                              "method": "closed-form"}
     if args.method in ("brute", "both"):
         code = build_code(ring, spec)
-        rep = min_distance_brute(code, "pair", args.budget)
+        rep = min_distance_brute(code, args.budget)
         result["brute"] = rep.to_dict()
         if rep.method != "exhaustive":
             result["brute"]["warning"] = "budget exceeded; upper bound only"
@@ -192,6 +194,7 @@ def cmd_distance(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    check_budget(args.budget)
     ring = _ring_from(args)
     rng = random.Random(args.seed)
     if args.target == "consistency":

@@ -394,16 +394,12 @@ class ConstacyclicCode:
         """Vectorized membership for rows of GF(p) coordinates."""
         p = self.ring.p
         w = np.asarray(words, dtype=np.int64) % p
-        if self.dim_p == 0:
-            return ~w.any(axis=1)
         resid = (w - (w[:, self.pivots] @ self.basis)) % p
         return ~resid.any(axis=1)
 
     def contains_code(self, other: "ConstacyclicCode") -> bool:
         if other.ring != self.ring:
             raise RingMismatch("codes live in different quotients")
-        if other.dim_p == 0:
-            return True
         return bool(self.contains_batch(other.basis).all())
 
     def same_rowspace(self, other: "ConstacyclicCode") -> bool:
@@ -443,7 +439,7 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
         raw = ideal_code(ring, gens)
         known = ring._ideals[key] = (raw.basis, tuple(raw.pivots))
     code = ConstacyclicCode(ring, spec, known[0], list(known[1]))
-    want = log_size(ring, spec)
+    want = _log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(
             f"rank {code.dim_p} != classified size exponent {want}",

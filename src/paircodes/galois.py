@@ -36,19 +36,6 @@ from .errors import (
 )
 
 
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x % 2 == 0:
-        return x == 2
-    d = 3
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def parse_int(text: str) -> int:
     """The integer written in `text`; any other text is refused."""
     try:
@@ -184,7 +171,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(as_int(p)):
+        if prime_factors(as_int(p)) != [p]:
             raise NotPrime(f"{p} is not prime")
         if as_int(m) < 1:
             raise DegreeMismatch("extension degree must be at least 1")
@@ -378,10 +365,6 @@ class ChainRing:
     # -- GF(p)-linear structure ----------------------------------------------
 
     @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
     def gfp_dim(self) -> int:
         return 2 * self.field.m
 
@@ -391,13 +374,6 @@ class ChainRing:
         f = self.field
         return f"{f.format_element(self.a_of(e))}|{f.format_element(self.b_of(e))}"
 
-    def parse_element(self, text: str) -> int:
-        """Read "a" or "a|b"; an empty a- or b-part is refused."""
-        a, sep, b = text.partition("|")
-        fa = self.field.parse_element(a)
-        fb = self.field.parse_element(b) if sep else 0
-        return self.make(fa, fb)
-
     def format_coeff(self, e: int) -> str:
         f = self.field
         a, b = self.a_of(e), self.b_of(e)
@@ -406,23 +382,6 @@ class ChainRing:
         if a == 0:
             return f"u{f.format_coeff(b)}"
         return f"{f.format_coeff(a)}+u{f.format_coeff(b)}"
-
-    def parse_coeff(self, text: str) -> int:
-        """Read the forms `format_coeff` writes: "a", "ub" and "a+ub"."""
-        a_txt, sep, b_txt = text.strip().partition("u")
-        if not sep:
-            return self.field.parse_coeff(a_txt)
-        a_txt = a_txt.strip()
-        if a_txt and not a_txt.endswith("+"):
-            raise InvalidValue(f"malformed coefficient {text!r}")
-        a = self.field.parse_coeff(a_txt[:-1]) if a_txt else 0
-        return self.make(a, self.field.parse_coeff(b_txt))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChainRing) and self.field == other.field
-
-    def __hash__(self) -> int:
-        return hash(("chain", self.field))
 
     def __repr__(self) -> str:
         return f"GF({self.q})+uGF({self.q})"

@@ -32,12 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, ConstacyclicCode, check_budget
-from .errors import (
-    DegenerateInput,
-    InvalidValue,
-    LengthTooShort,
-    VerificationMismatch,
-)
+from .errors import DegenerateInput, LengthTooShort, VerificationMismatch
 from .quotient import QPoly
 
 
@@ -192,10 +187,6 @@ def _scan(code: ConstacyclicCode, budget: int) -> dict:
     out = {"min_pair": None, "pair_at": None,
            "min_hamming": None, "hamming_at": None,
            "exhaustive": exhaustive, "scanned": last}
-    if dim == 0:
-        out["exhaustive"] = True
-        out["scanned"] = 0
-        return out
     h = 1
     while h < dim and p ** h <= last and p ** (h + 1) <= _BLOCK:
         h += 1
@@ -213,24 +204,21 @@ def _scan(code: ConstacyclicCode, budget: int) -> dict:
     return out
 
 
-def min_distance_brute(code: ConstacyclicCode, metric: str = "pair",
+def min_distance_brute(code: ConstacyclicCode,
                        budget: int = DEFAULT_BUDGET) -> DistanceReport:
-    """Minimum pair (or Hamming) distance by enumeration.
+    """Minimum pair distance by enumeration.
 
     Linear codes make minimum distance equal minimum nonzero weight, so the
     scan walks codewords, not codeword pairs.  Exceeding the budget degrades
     the answer to an upper bound (never a wrong exact claim).  The zero
     code reports distance 0.
     """
-    if metric not in ("pair", "hamming"):
-        raise InvalidValue(f"unknown metric {metric!r}")
     check_budget(budget)
     if code.dim_p == 0:
         return DistanceReport(d_sp=0, d_H=0, L=None,
                               method="exhaustive", witness=None)
     res = scan_minima(code, budget)
-    at = res["pair_at"] if metric == "pair" else res["hamming_at"]
-    w = code.word_at(at)
+    w = code.word_at(res["pair_at"])
     d_h = hamming_weight(w)
     d_p = pair_weight(w)
     L = None

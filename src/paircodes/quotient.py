@@ -16,7 +16,7 @@ A residue is a :class:`QPoly`: an immutable length-N coefficient tuple
 (degree 0 first) of encoded coefficient-ring ints.  Multiplication wraps
 x^N back to lam.  Text form: coefficients joined by commas, degree 0 first,
 each coefficient comma-free ("2.1" for 2+y in GF(9), "2+u1" over the
-two-component ring).
+two-component ring).  Only polynomials over the field are read back.
 """
 
 from __future__ import annotations
@@ -115,14 +115,14 @@ class QuotientRing:
     def one(self) -> "QPoly":
         return self.monomial(0)
 
-    def monomial(self, j: int, coeff: int = 1) -> "QPoly":
-        """coeff * x^j for 0 <= j < N; other j are refused, not reduced."""
+    def monomial(self, j: int) -> "QPoly":
+        """x^j for 0 <= j < N; other j are refused, not reduced."""
         if not 0 <= as_int(j) < self.N:
             raise ExponentOutOfRange(
                 f"exponent {j} outside [0, {self.N}) for {self!r}")
         cs = [0] * self.N
-        cs[j] = coeff
-        return self.poly(cs)
+        cs[j] = 1
+        return QPoly(self, tuple(cs))
 
     def radical(self) -> "QPoly":
         """The binomial x^n - alpha0, embedded in the quotient."""
@@ -156,8 +156,9 @@ class QuotientRing:
         return ",".join(self.base.format_coeff(c) for c in f.coeffs)
 
     def parse_poly(self, text: str) -> "QPoly":
+        """Read comma-separated field coefficients, degree 0 first."""
         parts = [s.strip() for s in text.split(",")]
-        return self.poly(self.base.parse_coeff(s) for s in parts)
+        return self.poly(self.field.parse_coeff(s) for s in parts)
 
     def __eq__(self, other) -> bool:
         return other is self or (

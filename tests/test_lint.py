@@ -36,25 +36,72 @@ def test_every_error_class_is_raised():
     assert sorted(defined - raised) == []
 
 
+def _referenced(skip=()) -> set:
+    """What src refers to: module.name for a bare name, and the plain name
+    of every attribute and imported alias."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(f"{path.stem}.{node.id}")
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
 def test_every_private_helper_has_a_caller():
     # A module-level _name function that nothing in src refers to is dead.
-    defined, used = set(), set()
+    defined = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defined |= {f"{path.stem}.{node.name}" for node in tree.body
                     if isinstance(node, ast.FunctionDef)
                     and node.name.startswith("_")
                     and not node.name.startswith("__")}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used |= {f"{path.stem}.{node.id}"}
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    used = _referenced()
     dead = [name for name in sorted(defined)
             if name not in used and name.split(".")[1] not in used]
     assert dead == []
+
+
+# Public names that no src module except __init__ refers to, kept on
+# purpose.  A new name without a src caller belongs in tests/ or here.
+PUBLIC_WITHOUT_SRC_CALLER = {
+    # lemmas of the paper, stated as functions
+    "theory.binomial_power_weight", "quotient.coefficient_weight",
+    # plain-definition references that tests compare the fast paths with
+    "quotient.consta_shift", "codes.enumerate_codewords",
+    "pairmetric.hamming_distance", "quotient.QuotientRing.radical",
+    # tools the tests build their checks from
+    "quotient.QPoly.scalar_mul", "quotient.QPoly.degree",
+    "codes.ConstacyclicCode.contains", "codes.ConstacyclicCode.same_rowspace",
+    "codes.consta_shift_matrix", "codes.unit_inverse",
+    # looked up by name by the benchmark's span tracer
+    "theory.mds_verdict",
+}
+
+
+def test_public_names_without_a_src_caller_are_listed():
+    # A public function or method that no src module names is either a
+    # deliberate reference or tool (listed above) or dead.  __init__ only
+    # re-exports.
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{f.name}", f.name)
+                            for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    used = {name.rpartition(".")[2] for name in _referenced({"__init__.py"})}
+    uncalled = {qual for qual, name in defined
+                if not name.startswith("_") and name not in used}
+    assert uncalled == PUBLIC_WITHOUT_SRC_CALLER
 
 
 def test_only_codes_names_the_code_families():

@@ -169,12 +169,6 @@ def test_budget_must_be_an_integer(budget):
         consistency_scan(ring, budget=budget)
 
 
-def test_unknown_metric_is_refused():
-    code = build_code(QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1))
-    with pytest.raises(InvalidValue):
-        min_distance_brute(code, metric="bogus")
-
-
 def test_scan_matches_pure_python_enumeration():
     for ring, spec in [
         (QuotientRing(Field(3, 1), 2, 1, 2), FieldPower(1)),
@@ -191,10 +185,9 @@ def test_scan_matches_pure_python_enumeration():
         assert res["exhaustive"]
         assert res["min_pair"] == want_pair
         assert res["min_hamming"] == want_ham
-        rep = min_distance_brute(code, "pair")
+        rep = min_distance_brute(code)
         assert pair_weight(rep.witness) == want_pair
-        rep_h = min_distance_brute(code, "hamming")
-        assert hamming_weight(rep_h.witness) == want_ham
+        assert hamming_weight(code.word_at(res["hamming_at"])) == want_ham
 
 
 def test_witness_is_first_in_enumeration_order():
@@ -203,14 +196,17 @@ def test_witness_is_first_in_enumeration_order():
              # visits one counter in four.
              build_code(QuotientRing(Field(5, 1), 1, 2, 1), FieldPower(19))]
     for code in codes:
-        for metric, weight in (("pair", pair_weight),
-                               ("hamming", hamming_weight)):
-            rep = min_distance_brute(code, metric)
-            best = rep.d_sp if metric == "pair" else rep.d_H
+        res = scan_minima(code)
+        rep = min_distance_brute(code)
+        assert rep.witness == code.word_at(res["pair_at"])
+        for key, weight in (("pair_at", pair_weight),
+                            ("hamming_at", hamming_weight)):
+            witness = code.word_at(res[key])
+            best = weight(witness)
             for w in enumerate_codewords(code, budget=code.size):
                 if w.is_zero():
                     continue
-                if w == rep.witness:
+                if w == witness:
                     break
                 assert weight(w) > best
 

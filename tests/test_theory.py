@@ -280,7 +280,7 @@ def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
     assert checked and len(scans) == len(checked)
     for spec, entry in zip(scans, checked):
         assert not entry.ok
-        rep = min_distance_brute(build_code(ring, spec), "pair", budget)
+        rep = min_distance_brute(build_code(ring, spec), budget)
         assert entry.witness == repr(rep.witness)
 
 
