@@ -193,17 +193,20 @@ def cmd_distance(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args, out) -> int:
-    check_budget(args.budget)
+def cmd_scan_mds(args, out) -> int:
     ring = _ring_from(args)
-    rng = random.Random(args.seed)
-    if args.target == "consistency":
-        report = consistency_scan(ring, budget=args.budget, rng=rng)
-        _emit(_ring_config(ring), [report.to_dict()], out)
-        return EXIT_OK if report.ok else EXIT_MISMATCH
-    verdicts = mds_classify(ring, rng=rng)
+    verdicts = mds_classify(ring, rng=random.Random(args.seed))
     _emit(_ring_config(ring), [v.to_dict() for v in verdicts], out)
     return EXIT_OK
+
+
+def cmd_scan_consistency(args, out) -> int:
+    check_budget(args.budget)
+    ring = _ring_from(args)
+    report = consistency_scan(ring, budget=args.budget,
+                              rng=random.Random(args.seed))
+    _emit(_ring_config(ring), [report.to_dict()], out)
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def _mds_rows(ring: QuotientRing, rng: random.Random) -> list[dict]:
@@ -286,12 +289,17 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.set_defaults(fn=cmd_distance)
 
-    sp = sub.add_parser("scan", help="sweep every code of a ring")
-    sp.add_argument("target", choices=["mds", "consistency"])
+    targets = sub.add_parser("scan", help="sweep every code of a ring") \
+        .add_subparsers(dest="target", required=True)
+    sp = targets.add_parser("mds", help="the MDS verdict of every code")
+    _add_ring_args(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(fn=cmd_scan_mds)
+    sp = targets.add_parser("consistency", help="closed forms vs enumeration")
     _add_ring_args(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_scan)
+    sp.set_defaults(fn=cmd_scan_consistency)
 
     sp = sub.add_parser("tables", help="MDS rows for a ring")
     _add_ring_args(sp)
@@ -299,9 +307,10 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_tables)
 
-    for name, sp in sub.choices.items():
-        sp.add_argument("--out", type=str, default=None,
-                        help="write output to this file instead of stdout")
+    for sp in [*sub.choices.values(), *targets.choices.values()]:
+        if sp.get_default("fn"):        # every parser that runs a command
+            sp.add_argument("--out", type=str, default=None,
+                            help="write output to this file instead of stdout")
     return ap
 
 

@@ -228,8 +228,8 @@ def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
     if isinstance(spec, Type1):
         return [binomial_power(ring, spec.k)]
     fq = ring.field_quotient()
-    head = ring.embed(qmul(binomial_power(fq, spec.j), spec.b)) \
-        + ring.times_u(binomial_power(fq, spec.k))
+    head = ring.lift(qmul(binomial_power(fq, spec.j), spec.b),
+                     binomial_power(fq, spec.k))
     if isinstance(spec, Type2):
         return [head]
     return [head, binomial_power(ring, spec.k + spec.t)]
@@ -347,14 +347,18 @@ class ConstacyclicCode:
     """An ideal of the quotient, materialized as a GF(p) row space."""
 
     def __init__(self, ring: QuotientRing, spec: CodeSpec | None,
-                 basis: np.ndarray, pivots: list[int]):
+                 basis: np.ndarray):
         self.ring = ring
         self.spec = spec
         basis = np.ascontiguousarray(basis, dtype=np.int64)
         basis.flags.writeable = False
         self.basis = basis
-        self.pivots = pivots
         self.dim_p = basis.shape[0]
+
+    @property
+    def pivots(self) -> list[int]:
+        """The first nonzero column of each basis row."""
+        return (self.basis != 0).argmax(axis=1).tolist()
 
     @property
     def size(self) -> int:
@@ -419,8 +423,8 @@ def ideal_code(ring: QuotientRing,
     """
     rows = ([np.zeros((0, ring.N * ring.base.gfp_dim), dtype=np.int64)]
             + [_multiples(ring, g) for g in gens])
-    basis, pivots = rref_mod_p(np.concatenate(rows), ring.p)
-    return ConstacyclicCode(ring, None, basis, pivots)
+    basis, _ = rref_mod_p(np.concatenate(rows), ring.p)
+    return ConstacyclicCode(ring, None, basis)
 
 
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
@@ -428,17 +432,16 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
 
     Records with the same generator coefficients span the same ideal, so
     `ideal_code` runs once per distinct generator tuple of the ring, which
-    remembers the (basis, pivots) for as long as it lives.  Every record is
+    remembers the basis for as long as it lives.  Every record is
     still validated, and its rank is still checked against its own
     classified size.
     """
     gens = generators(ring, spec)
     key = tuple(g.coeffs for g in gens)
-    known = ring._ideals.get(key)
-    if known is None:
-        raw = ideal_code(ring, gens)
-        known = ring._ideals[key] = (raw.basis, tuple(raw.pivots))
-    code = ConstacyclicCode(ring, spec, known[0], list(known[1]))
+    basis = ring._ideals.get(key)
+    if basis is None:
+        basis = ring._ideals[key] = ideal_code(ring, gens).basis
+    code = ConstacyclicCode(ring, spec, basis)
     want = _log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(
@@ -454,6 +457,7 @@ def enumerate_codewords(code: ConstacyclicCode,
     Order: mixed-radix counters over the basis rows, least significant row
     first; counter 0 is the zero word.
     """
+    check_budget(budget)
     if code.size > budget:
         raise BudgetExceeded(
             f"{code.size} codewords exceed the budget of {budget}")

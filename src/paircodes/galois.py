@@ -269,11 +269,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.q})")
-        return self._exp[self.q - 1 - self._log[a]]
-
     def pow(self, a: int, e: int) -> int:
         if a:
             return self._exp[self._log[a] * e % (self.q - 1)]
@@ -335,7 +330,6 @@ class ChainRing:
         self.field = field
         self.q = field.q
         self.size = field.q ** 2
-        self.u = field.q  # the element 0 + u*1
 
     def make(self, a: int, b: int) -> int:
         return a + self.q * b
@@ -345,9 +339,6 @@ class ChainRing:
 
     def b_of(self, e: int) -> int:
         return e // self.q
-
-    def times_u(self, a: int) -> int:
-        return self.q * a
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -71,11 +71,11 @@ class QuotientRing:
         # and the short text of spec_to_text (both in codes).
         self._unit_kinds: dict[tuple[int, ...], str] = {}
         self._short_texts: dict[tuple[int, ...], str] = {}
-        # Work done once per ring: build_code's (basis, pivots) by generator
+        # Work done once per ring: build_code's basis by generator
         # coefficients, and scan_minima's result by (basis bytes, budget).
         # They hold plain data, nothing that refers back to the ring, so they
         # live exactly as long as the ring.
-        self._ideals: dict[tuple, tuple] = {}
+        self._ideals: dict[tuple, object] = {}
         self._scans: dict[tuple[bytes, int], dict] = {}
 
     @property
@@ -131,24 +131,16 @@ class QuotientRing:
         cs[self.n] = 1
         return QPoly(self, tuple(cs))
 
-    def embed(self, f: "QPoly") -> "QPoly":
-        """Lift a field-quotient polynomial into the two-component quotient,
-        where a field element a is encoded as a + q*0 = a."""
+    def lift(self, f: "QPoly", g: "QPoly") -> "QPoly":
+        """f + u*g in the two-component quotient, for polynomials f and g
+        over the companion field quotient."""
         if not self.is_chain:
-            raise RingMismatch("embed targets the two-component quotient")
-        if f.ring != self.field_quotient():
-            raise RingMismatch("embed expects a polynomial over the companion "
+            raise RingMismatch("lift targets the two-component quotient")
+        fq = self.field_quotient()
+        if f.ring != fq or g.ring != fq:
+            raise RingMismatch("lift expects polynomials over the companion "
                                "field quotient")
-        return QPoly(self, f.coeffs)
-
-    def times_u(self, f: "QPoly") -> "QPoly":
-        """Lift a field-quotient polynomial to u times itself."""
-        if not self.is_chain:
-            raise RingMismatch("times_u targets the two-component quotient")
-        if f.ring != self.field_quotient():
-            raise RingMismatch("times_u expects a polynomial over the "
-                               "companion field quotient")
-        return QPoly(self, tuple(self.base.times_u(c) for c in f.coeffs))
+        return QPoly(self, tuple(map(self.base.make, f.coeffs, g.coeffs)))
 
     # -- text ------------------------------------------------------------------
 
@@ -171,8 +163,7 @@ class QuotientRing:
         return hash((self.field, self.n, self.s, self.alpha0, self.beta))
 
     def __repr__(self) -> str:
-        lam = (self.base.format_element(self.lam) if self.is_chain
-               else self.field.format_element(self.lam))
+        lam = self.base.format_element(self.lam)
         return f"{self.base!r}[x]/(x^{self.N} - ({lam}))"
 
 
@@ -281,7 +272,7 @@ def binomial_power(ring: QuotientRing, i: int) -> QPoly:
     cs = [0] * ring.N
     for j in range(r + 1):
         c = field.mul(math.comb(r, j) % ring.p, field.pow(neg_a0, r - j))
-        cs[ring.n * j] = ring.base.times_u(field.mul(ring.beta, c)) if w else c
+        cs[ring.n * j] = ring.base.make(0, field.mul(ring.beta, c)) if w else c
     return QPoly(ring, tuple(cs))
 
 

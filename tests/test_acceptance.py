@@ -27,6 +27,7 @@ from paircodes.codes import (
     ideal_code,
     log_size,
     random_unit,
+    spec_from_text,
     spec_to_text,
     unit_inverse,
 )
@@ -100,6 +101,10 @@ def test_criterion_1_field_formula_matches_exhaustive_oracle():
 # with n = 3, s = 3.
 CELL_RINGS = [(3, 1, 3, 1), (3, 1, 3, 2), (5, 1, 3, 1), (7, 1, 3, 1),
               (2, 1, 4, 1), (2, 1, 5, 1), (2, 2, 3, 3)]
+# Chain rings for p = 2 and n >= 2 need m >= 2, since x^3 - alpha0 is
+# reducible over GF(2).  Both chain kinds of GF(4), n = 3, s = 1 (N = 6)
+# reach the rows of the (e0, e1) table that p = 2, n >= 2 lacks otherwise.
+CHAIN_RINGS = [(2, 2, 1, 3)]
 # <a^3> over GF(3), n=2, s=2 and <a^21> over GF(3), n=2, s=3 have 3^12
 # words each; they reach the n>=2 theta=0 tails at k = 0 and 0 < k < s - 1.
 CELL_BUDGET = 3 ** 12
@@ -125,15 +130,17 @@ def closed_form_cell(ring, e1) -> tuple:
 def cell_grid() -> tuple:
     """(ring, [(spec text, cell)] of its codes within CELL_BUDGET) over the
     criterion-1 grid and CELL_RINGS, with both chain kinds wherever m = 1
-    and N <= 6.  The ring objects are built once, so every scan of the grid
-    after the first finds its codes and oracle results remembered."""
+    and N <= 6 and for CHAIN_RINGS.  The ring objects are built once, so
+    every scan of the grid after the first finds its codes and oracle
+    results remembered."""
     params = list(field_grid()) + [
         (p, m, s, n, irreducible_binomial_constants(Field(p, m), n)[0])
         for p, m, s, n in CELL_RINGS]
     grid = []
     for p, m, s, n, alpha0 in params:
         field = Field(p, m)
-        betas = (None, 0, 1) if m == 1 and n * p ** s <= 6 else (None,)
+        chains = (m == 1 and n * p ** s <= 6) or (p, m, s, n) in CHAIN_RINGS
+        betas = (None, 0, 1) if chains else (None,)
         for beta in betas:
             ring = QuotientRing(field, n, s, alpha0, beta)
             cells = [(spec_to_text(spec), closed_form_cell(
@@ -166,6 +173,35 @@ def test_every_reachable_cell_has_an_exhaustive_check_in_both_metrics():
                 (rule, parity)
     assert any(c[0] == "n=1 mid-theta" for c in middle)
     assert len(reached) >= 42, f"grid unexpectedly thin: {len(reached)}"
+
+
+def family_row(spec) -> str:
+    """The row of the (e0, e1) table (`_standard_exponents`) that gives the
+    size and distances of the code `spec` describes."""
+    b = getattr(spec, "b", None)
+    kind = "" if b is None else " b=0" if b.is_zero() else " b unit"
+    return type(spec).__name__ + kind
+
+
+FAMILY_ROWS = ("FieldPower", "ChainPrincipal", "Type1", "Type2 b=0",
+               "Type2 b unit", "Type3 b=0", "Type3 b unit")
+
+
+def test_every_family_row_has_an_exhaustive_check_in_both_metrics():
+    # D8's "Families": each row of the (e0, e1) table, for p = 2 and odd p
+    # and for n = 1 and n >= 2, has a code within the budget whose pair and
+    # Hamming formulas the oracle confirms.
+    reached = set()
+    for ring, cells in cell_grid():
+        report = consistency_scan(ring, CELL_BUDGET)
+        for entry, (_, cell) in zip(report.entries, cells, strict=True):
+            assert ring.p ** entry.dim_p <= CELL_BUDGET
+            assert entry.ok, (ring, entry.to_dict())
+            spec = spec_from_text(entry.spec_text, ring)
+            reached.add((family_row(spec), cell[2], cell[3]))
+    assert reached == {(row, parity, length) for row in FAMILY_ROWS
+                       for parity in ("p=2", "p odd")
+                       for length in ("n=1", "n>=2")}
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -289,7 +325,7 @@ def test_criterion_6_two_mds_classes_from_literal_generators():
     for b in bs:
         is_unit = not b.is_zero()
         # class one: radical plus u-times-b, expected pair distance 4
-        g1 = ring.embed(binomial_power(fq, 1)) + ring.times_u(b)
+        g1 = ring.lift(binomial_power(fq, 1), b)
         code1 = ideal_code(ring, [g1])
         rep1 = min_distance_brute(code1, BUDGET)
         assert rep1.method == "exhaustive" and rep1.d_sp == 4
@@ -298,8 +334,8 @@ def test_criterion_6_two_mds_classes_from_literal_generators():
                   else Type1(1))
         assert code1.same_rowspace(build_code(ring, canon1))
         # class two: radical^(p-1) plus u radical^(p-2) b, distance 2p
-        g2 = ring.embed(binomial_power(fq, p - 1)) \
-            + ring.times_u(qmul(binomial_power(fq, p - 2), b))
+        g2 = ring.lift(binomial_power(fq, p - 1),
+                       qmul(binomial_power(fq, p - 2), b))
         code2 = ideal_code(ring, [g2])
         rep2 = min_distance_brute(code2, BUDGET)
         assert rep2.method == "exhaustive" and rep2.d_sp == 2 * p

@@ -322,7 +322,7 @@ KEY_REPROS = [
     # every budget below 1 is refused, also where no enumeration runs
     ["distance", *FIELD_RING, "--spec", "field-power:i=1",
      "--method", "formula", "--budget", "-5"],
-    ["scan", "mds", *FIELD_RING, "--budget", "0"],
+    ["scan", "consistency", *FIELD_RING, "--budget", "0"],
     *[["build-code", *ring, "--spec", spec]
       for ring, spec in KEY_REPROS],
 ])
@@ -335,6 +335,16 @@ def test_malformed_input_exits_2(argv, capsys):
                 if argv[-1] in [spec for _, spec in KEY_REPROS]
                 else "InvalidValue")
     assert json.loads(err)["error"]["type"] == expected
+
+
+@pytest.mark.parametrize("budget", ["0", "5"])
+def test_scan_mds_takes_no_budget(budget, capsys):
+    # The MDS sweep enumerates no codeword, so it has no budget to take.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "mds", *FIELD_RING, "--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --budget {budget}" in err
 
 
 # Subprocesses import the same paircodes tree as this process, whatever the

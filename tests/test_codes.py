@@ -519,8 +519,8 @@ def test_records_refuse_b_neither_zero_nor_unit():
 def test_b_over_the_chain_quotient_is_refused(monkeypatch):
     chain0 = QuotientRing(F3, 2, 1, 2, beta=0)
     calls = _count_unit_kind(monkeypatch)
-    for b in (chain0.one(), chain0.zero(), chain0.times_u(
-            chain0.field_quotient().one())):
+    fq = chain0.field_quotient()
+    for b in (chain0.one(), chain0.zero(), chain0.lift(fq.zero(), fq.one())):
         with pytest.raises(RingMismatch):
             Type2(j=2, k=0, b=b)
         with pytest.raises(RingMismatch):
@@ -729,8 +729,8 @@ def test_same_rowspace_on_different_generating_sets():
             for e in _reference_scalars(ring):
                 rows.append(word_coords(w.scalar_mul(e)))
             w = consta_shift(w)
-        basis, piv = rref_mod_p(np.array(rows), ring.p)
-        other = ConstacyclicCode(ring, None, basis, piv)
+        basis, _ = rref_mod_p(np.array(rows), ring.p)
+        other = ConstacyclicCode(ring, None, basis)
         assert base_code.same_rowspace(other)
 
 

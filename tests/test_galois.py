@@ -143,7 +143,7 @@ def test_field_axioms_random():
             assert field.mul(a, 1) == a
             assert field.pow(a, q) == a            # Frobenius fixed point
             if a:
-                assert field.mul(a, field.inv(a)) == 1
+                assert field.mul(a, field.pow(a, -1)) == 1
 
 
 class _DigitReference:
@@ -188,14 +188,12 @@ def _check_element(field, ref, a, exponents):
         assert all(field.pow(0, e) == 0 for e in exponents if e > 0)
         with pytest.raises(DivisionByZero):
             field.pow(0, -1)
-        with pytest.raises(DivisionByZero):
-            field.inv(0)
         with pytest.raises(ZeroElement):
             field.order(0)
         return
     cycle = ref.powers(a)
     assert field.order(a) == len(cycle), (field, a)
-    assert ref.mul(a, field.inv(a)) == 1, (field, a)
+    assert ref.mul(a, field.pow(a, -1)) == 1, (field, a)
     for e in exponents:
         assert field.pow(a, e) == cycle[e % len(cycle)], (field, a, e)
 
@@ -254,7 +252,7 @@ def test_large_field_arithmetic_matches_polynomial_reference():
             _check_pair(field, ref, a, b)
             assert field.neg(a) == ref.neg(a)
             if a:
-                assert ref.mul(a, field.inv(a)) == 1
+                assert ref.mul(a, field.pow(a, -1)) == 1
         for a in [0, 1, p, q - 1] + [rng.randrange(1, q) for _ in range(6)]:
             _check_element(field, ref, a, [0, 1, 5, q - 2, q, -1, -7])
         assert len(ref.powers(p)) < q - 1
@@ -275,13 +273,13 @@ def test_element_orders():
     with pytest.raises(ZeroElement):
         f3.order(0)
     with pytest.raises(DivisionByZero):
-        f9.inv(0)
+        f9.pow(0, -1)
 
 
 def test_chain_ring_arithmetic():
     f3 = Field(3, 1)
     R = ChainRing(f3)
-    assert R.mul(R.u, R.u) == 0
+    assert R.mul(R.make(0, 1), R.make(0, 1)) == 0
     assert R.mul(R.make(1, 1), R.make(1, 2)) == 1  # (1 + u)(1 - u) = 1
     rng = random.Random(3)
     for _ in range(300):

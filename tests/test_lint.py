@@ -36,40 +36,48 @@ def test_every_error_class_is_raised():
     assert sorted(defined - raised) == []
 
 
-def _referenced(skip=()) -> set:
-    """What src refers to: module.name for a bare name, and the plain name
-    of every attribute and imported alias."""
-    used = set()
-    for path in sorted(SRC.glob("*.py")):
+def _uncalled(skip=()) -> set:
+    """The functions and methods that no src module (but those in `skip`)
+    calls, as module.name or module.Class.name.  A method counts as called
+    only through an attribute access; a module-level function through a
+    bare name in its own module, an attribute access or an import."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    bare, attrs, imported = set(), set(), set()
+    for path, tree in trees.items():
         if path.name in skip:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(f"{path.stem}.{node.id}")
+                bare.add(f"{path.stem}.{node.id}")
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return used
+                imported.add(node.name)
+    called, uncalled = attrs | imported, set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                qual = f"{path.stem}.{node.name}"
+                if qual not in bare and node.name not in called:
+                    uncalled.add(qual)
+            elif isinstance(node, ast.ClassDef):
+                uncalled |= {f"{path.stem}.{node.name}.{f.name}"
+                             for f in node.body
+                             if isinstance(f, ast.FunctionDef)
+                             and f.name not in attrs}
+    return uncalled
 
 
 def test_every_private_helper_has_a_caller():
-    # A module-level _name function that nothing in src refers to is dead.
-    defined = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined |= {f"{path.stem}.{node.name}" for node in tree.body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")}
-    used = _referenced()
-    dead = [name for name in sorted(defined)
-            if name not in used and name.split(".")[1] not in used]
-    assert dead == []
+    # A _name function or method that nothing in src calls is dead.
+    names = {qual: qual.rpartition(".")[2] for qual in _uncalled()}
+    assert [qual for qual, name in sorted(names.items())
+            if name.startswith("_") and not name.startswith("__")] == []
 
 
-# Public names that no src module except __init__ refers to, kept on
-# purpose.  A new name without a src caller belongs in tests/ or here.
+# Public names that no src module except __init__ calls, kept on purpose.
+# A new name without a src caller belongs in tests/ or here.
 PUBLIC_WITHOUT_SRC_CALLER = {
     # lemmas of the paper, stated as functions
     "theory.binomial_power_weight", "quotient.coefficient_weight",
@@ -86,21 +94,12 @@ PUBLIC_WITHOUT_SRC_CALLER = {
 
 
 def test_public_names_without_a_src_caller_are_listed():
-    # A public function or method that no src module names is either a
+    # A public function or method that no src module calls is either a
     # deliberate reference or tool (listed above) or dead.  __init__ only
-    # re-exports.
-    defined = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, ast.FunctionDef):
-                defined.append((f"{path.stem}.{node.name}", node.name))
-            elif isinstance(node, ast.ClassDef):
-                defined += [(f"{path.stem}.{node.name}.{f.name}", f.name)
-                            for f in node.body
-                            if isinstance(f, ast.FunctionDef)]
-    used = {name.rpartition(".")[2] for name in _referenced({"__init__.py"})}
-    uncalled = {qual for qual, name in defined
-                if not name.startswith("_") and name not in used}
+    # re-exports.  A local variable or an argument that shares a method's
+    # name is no call of it.
+    uncalled = {qual for qual in _uncalled({"__init__.py"})
+                if not qual.rpartition(".")[2].startswith("_")}
     assert uncalled == PUBLIC_WITHOUT_SRC_CALLER
 
 

@@ -155,6 +155,8 @@ def test_budget_below_one_is_refused(budget):
         min_distance_brute(build_code(ring, FieldPower(3)), budget=budget)
     with pytest.raises(InvalidValue):
         consistency_scan(ring, budget=budget)
+    with pytest.raises(InvalidValue):
+        enumerate_codewords(code, budget=budget)
 
 
 @pytest.mark.parametrize("budget", [True, 4096.0, "4096", None])
@@ -167,6 +169,8 @@ def test_budget_must_be_an_integer(budget):
         min_distance_brute(code, budget=budget)
     with pytest.raises(InvalidValue):
         consistency_scan(ring, budget=budget)
+    with pytest.raises(InvalidValue):
+        enumerate_codewords(code, budget=budget)
 
 
 def test_scan_matches_pure_python_enumeration():
@@ -280,7 +284,8 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
     # lightest words over the whole counter range.
     mix = np.triu(np.random.default_rng(p).integers(0, p, (dim, dim)), 1)
     basis = ((mix + np.eye(dim, dtype=np.int64)) @ built.basis) % p
-    code = ConstacyclicCode(ring, spec, basis, built.pivots)
+    code = ConstacyclicCode(ring, spec, basis)
+    assert code.pivots == built.pivots
     words = enumerate_codewords(code, budget=code.size)
     assert next(words).is_zero()
     vecs = list(_reference_words(code))

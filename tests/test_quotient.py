@@ -170,7 +170,7 @@ def test_binomial_power_nilpotency():
         chain = QuotientRing(f3, 1, 2, 1, beta=beta)
         w = binomial_power(chain, 9)
         expect = list(chain.zero().coeffs)
-        expect[0] = chain.base.times_u(beta)
+        expect[0] = chain.base.make(0, beta)
         assert w.coeffs == tuple(expect)
         assert binomial_power(chain, 18).is_zero()
     # beta = 0: nilpotent at p^s already
@@ -297,14 +297,23 @@ def test_both_quotients_refuse_the_same_malformed_coefficients():
             assert field.parse_coeff(f" {text} ") == c
 
 
-def test_embed_and_times_u():
+def test_lift_forms_a_plus_u_b():
     chain = QuotientRing(Field(3, 1), 2, 1, 2, beta=0)
     fq = chain.field_quotient()
+    base = chain.base
     f = fq.poly([1, 2, 0, 1, 0, 0])
-    lifted = chain.embed(f)
-    assert all(chain.base.b_of(c) == 0 for c in lifted.coeffs)
-    ued = chain.times_u(f)
-    assert all(chain.base.a_of(c) == 0 for c in ued.coeffs)
-    assert qmul(lifted, chain.poly([chain.base.u] + [0] * 5)) == ued
+    g = fq.poly([0, 1, 2, 2, 0, 1])
+    lifted = chain.lift(f, fq.zero())
+    assert [base.a_of(c) for c in lifted.coeffs] == list(f.coeffs)
+    assert all(base.b_of(c) == 0 for c in lifted.coeffs)
+    ued = chain.lift(fq.zero(), f)
+    assert all(base.a_of(c) == 0 for c in ued.coeffs)
+    assert [base.b_of(c) for c in ued.coeffs] == list(f.coeffs)
+    assert qmul(lifted, chain.lift(fq.zero(), fq.one())) == ued
+    assert chain.lift(f, g) == lifted + chain.lift(fq.zero(), g)
     with pytest.raises(RingMismatch):
-        fq.embed(f)
+        fq.lift(f, g)
+    with pytest.raises(RingMismatch):
+        chain.lift(lifted, g)
+    with pytest.raises(RingMismatch):
+        chain.lift(f, ued)
