@@ -59,8 +59,6 @@ def check_budget(budget: int) -> None:
 def _check_b(spec: Type2 | Type3) -> None:
     """Refuse a b that is neither zero nor a unit of its field quotient."""
     fq = spec.b.ring
-    if fq.is_chain:
-        raise RingMismatch("b must live in the companion field quotient")
     if unit_kind(fq, spec.b) == "neither":
         raise NotUnitNorZero(
             f"b = {spec.b!r} is neither zero nor a unit of {fq!r}")
@@ -133,7 +131,7 @@ def unit_kind(fq: QuotientRing, b: QPoly) -> str:
 
     Each distinct b is decided once per quotient and remembered there.
     """
-    if b.ring != fq:
+    if fq.is_chain or b.ring != fq:
         raise RingMismatch("b must live in the companion field quotient")
     kind = fq._unit_kinds.get(b.coeffs)
     if kind is None:
@@ -272,15 +270,14 @@ def _standard_exponents(ring: QuotientRing, spec: CodeSpec) -> tuple[int, int]:
 
 # --- GF(p) linear algebra ---------------------------------------------------
 
-def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form over GF(p); returns (nonzero rows, pivots).
+def rref_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
+    """The nonzero rows of the row-reduced echelon form over GF(p).
 
     The rows are a compact copy, so a code's basis does not keep the whole
     elimination matrix alive."""
     mat = np.array(mat, dtype=np.int64) % p
     rows, cols = mat.shape
     r = 0
-    pivots: list[int] = []
     for c in range(cols):
         if r == rows:
             break
@@ -294,9 +291,8 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         col = mat[:, c].copy()
         col[r] = 0
         mat = (mat - np.outer(col, mat[r])) % p
-        pivots.append(c)
         r += 1
-    return mat[:r].copy(), pivots
+    return mat[:r].copy()
 
 
 def _gfp_digits(values, p: int, d: int) -> np.ndarray:
@@ -344,21 +340,15 @@ def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
 
 
 class ConstacyclicCode:
-    """An ideal of the quotient, materialized as a GF(p) row space."""
+    """An ideal of the quotient: the GF(p) row space of `basis`.  Words are
+    enumerated through `basis` as given; membership and equality ignore it."""
 
-    def __init__(self, ring: QuotientRing, spec: CodeSpec | None,
-                 basis: np.ndarray):
+    def __init__(self, ring: QuotientRing, basis: np.ndarray):
         self.ring = ring
-        self.spec = spec
         basis = np.ascontiguousarray(basis, dtype=np.int64)
         basis.flags.writeable = False
         self.basis = basis
         self.dim_p = basis.shape[0]
-
-    @property
-    def pivots(self) -> list[int]:
-        """The first nonzero column of each basis row."""
-        return (self.basis != 0).argmax(axis=1).tolist()
 
     @property
     def size(self) -> int:
@@ -395,23 +385,24 @@ class ConstacyclicCode:
         return bool(self.contains_batch(word_coords(w)[None, :])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized membership for rows of GF(p) coordinates."""
+        """Vectorized membership for rows of GF(p) coordinates: a word is a
+        member when the reduced basis rebuilds it from its pivot columns."""
         p = self.ring.p
+        red = rref_mod_p(self.basis, p)
         w = np.asarray(words, dtype=np.int64) % p
-        resid = (w - (w[:, self.pivots] @ self.basis)) % p
+        resid = (w - w[:, (red != 0).argmax(axis=1)] @ red) % p
         return ~resid.any(axis=1)
 
-    def contains_code(self, other: "ConstacyclicCode") -> bool:
+    def same_rowspace(self, other: "ConstacyclicCode") -> bool:
+        """Whether the two bases span one code: their reduced forms agree."""
         if other.ring != self.ring:
             raise RingMismatch("codes live in different quotients")
-        return bool(self.contains_batch(other.basis).all())
-
-    def same_rowspace(self, other: "ConstacyclicCode") -> bool:
-        return (self.dim_p == other.dim_p and self.contains_code(other))
+        p = self.ring.p
+        return np.array_equal(rref_mod_p(self.basis, p),
+                              rref_mod_p(other.basis, p))
 
     def __repr__(self) -> str:
-        return (f"ConstacyclicCode(dim_p={self.dim_p}, "
-                f"spec={self.spec!r}, ring={self.ring!r})")
+        return f"ConstacyclicCode(dim_p={self.dim_p}, ring={self.ring!r})"
 
 
 def ideal_code(ring: QuotientRing,
@@ -423,8 +414,7 @@ def ideal_code(ring: QuotientRing,
     """
     rows = ([np.zeros((0, ring.N * ring.base.gfp_dim), dtype=np.int64)]
             + [_multiples(ring, g) for g in gens])
-    basis, _ = rref_mod_p(np.concatenate(rows), ring.p)
-    return ConstacyclicCode(ring, None, basis)
+    return ConstacyclicCode(ring, rref_mod_p(np.concatenate(rows), ring.p))
 
 
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
@@ -441,7 +431,7 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     basis = ring._ideals.get(key)
     if basis is None:
         basis = ring._ideals[key] = ideal_code(ring, gens).basis
-    code = ConstacyclicCode(ring, spec, basis)
+    code = ConstacyclicCode(ring, basis)
     want = _log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(
@@ -471,8 +461,6 @@ def consta_shift_matrix(ring: QuotientRing) -> np.ndarray:
 
 def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:
     """A uniformly random unit of the field quotient."""
-    if fq.is_chain:
-        raise RingMismatch("unit sampling targets the field quotient")
     q = fq.field.q
     while True:
         f = fq.poly([rng.randrange(q) for _ in range(fq.N)])
@@ -488,7 +476,7 @@ def unit_inverse(fq: QuotientRing, b: QPoly) -> QPoly:
         raise NotUnitNorZero(f"{b!r} is not a unit of {fq!r}")
     M = _multiples(fq, b).T
     rhs = word_coords(fq.one())
-    red, _ = rref_mod_p(np.concatenate([M, rhs[:, None]], axis=1), fq.p)
+    red = rref_mod_p(np.concatenate([M, rhs[:, None]], axis=1), fq.p)
     return fq.poly(_gfp_values(red[:, -1], fq.p, fq.m))
 
 
@@ -570,6 +558,7 @@ def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
 
 def spec_generator_text(ring: QuotientRing, spec: CodeSpec) -> str:
     """Human-readable generator description for tables."""
+    validate_spec(ring, spec)
     a0 = ring.field.format_coeff(ring.alpha0)
     g = f"x^{ring.n}-{a0}" if ring.n > 1 else f"x-{a0}"
 

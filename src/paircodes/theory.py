@@ -37,12 +37,23 @@ from .codes import (
 from .errors import (
     ConstraintViolation,
     ExponentOutOfRange,
+    NotPrime,
     VerificationMismatch,
 )
-from .galois import as_int
+from .galois import as_int, prime_factors
 # min_distance_brute is looked up here by bench/spans.py.
 from .pairmetric import min_distance_brute, scan_minima  # noqa: F401
 from .quotient import QuotientRing
+
+
+def _prime_power(p: int, s: int) -> tuple[int, int]:
+    """p and s as ints, refusing a p that is not prime and an s below 1."""
+    p, s = as_int(p), as_int(s)
+    if prime_factors(p) != [p]:
+        raise NotPrime(f"{p} is not prime")
+    if s < 1:
+        raise ConstraintViolation(f"need s >= 1, got {s}")
+    return p, s
 
 
 def binomial_power_weight(p: int, s: int, i: int) -> int:
@@ -51,7 +62,7 @@ def binomial_power_weight(p: int, s: int, i: int) -> int:
     By Lucas' theorem the number of nonzero binomial coefficients C(i, j)
     mod p is the product of (digit + 1) over the base-p digits of i.
     """
-    p, s, i = as_int(p), as_int(s), as_int(i)
+    (p, s), i = _prime_power(p, s), as_int(i)
     if not 0 <= i < p ** s:
         raise ExponentOutOfRange(f"need 0 <= i < {p ** s}, got {i}")
     w = 1
@@ -63,7 +74,7 @@ def binomial_power_weight(p: int, s: int, i: int) -> int:
 
 def exponent_interval(p: int, s: int, i: int) -> tuple[int, int, int, int]:
     """(k, theta, lo, hi) for the unique interval containing i."""
-    p, s, i = as_int(p), as_int(s), as_int(i)
+    (p, s), i = _prime_power(p, s), as_int(i)
     if not 1 <= i <= p ** s - 1:
         raise ExponentOutOfRange(
             f"the interval partition covers 1..{p ** s - 1}, got {i}")
@@ -83,7 +94,7 @@ def min_hamming_distance(p: int, s: int, i: int) -> int:
     Independent of n: 1 at i = 0, 0 at i = p^s, else (theta+2)*p^k on the
     (k, theta) interval.
     """
-    p, s, i = as_int(p), as_int(s), as_int(i)
+    (p, s), i = _prime_power(p, s), as_int(i)
     if i == 0:
         return 1
     if i == p ** s:
@@ -99,7 +110,7 @@ def min_pair_distance_field(n: int, p: int, s: int,
 
     The value does not depend on m or on the choice of a0.
     """
-    n, p, s, i = as_int(n), as_int(p), as_int(s), as_int(i)
+    n, (p, s), i = as_int(n), _prime_power(p, s), as_int(i)
     if n < 1:
         raise ConstraintViolation("n must be positive")
     if n % p == 0:

@@ -81,15 +81,15 @@ def test_field_codes_are_nested():
     ring = QuotientRing(F3, 1, 2, 1)
     codes = [build_code(ring, FieldPower(i)) for i in range(10)]
     for big, small in zip(codes, codes[1:]):
-        assert big.contains_code(small)
-        assert not small.contains_code(big)
+        assert big.contains_batch(small.basis).all()
+        assert not small.contains_batch(big.basis).all()
 
 
 def test_chain_principal_codes_are_nested():
     ring = QuotientRing(F2, 1, 2, 1, beta=1)
     codes = [build_code(ring, ChainPrincipal(i)) for i in range(9)]
     for big, small in zip(codes, codes[1:]):
-        assert big.contains_code(small)
+        assert big.contains_batch(small.basis).all()
 
 
 def test_generator_membership_and_unit_exclusion():
@@ -170,9 +170,9 @@ def _residue_and_torsion(code):
     ring = code.ring
     half = ring.N * ring.m
     cols = np.arange(2 * half).reshape(ring.N, 2, ring.m)
-    red, pivots = rref_mod_p(code.basis[:, np.concatenate(
+    red = rref_mod_p(code.basis[:, np.concatenate(
         [cols[:, 0].ravel(), cols[:, 1].ravel()])], ring.p)
-    split = sum(c < half for c in pivots)
+    split = sum(c < half for c in (red != 0).argmax(axis=1))
     return red[:split, :half], red[split:, half:]
 
 
@@ -516,22 +516,36 @@ def test_records_refuse_b_neither_zero_nor_unit():
     Type3(j=1, k=0, t=2, b=fq.one())
 
 
-def test_b_over_the_chain_quotient_is_refused(monkeypatch):
+def test_b_over_the_chain_quotient_is_refused():
     chain0 = QuotientRing(F3, 2, 1, 2, beta=0)
-    calls = _count_unit_kind(monkeypatch)
     fq = chain0.field_quotient()
     for b in (chain0.one(), chain0.zero(), chain0.lift(fq.zero(), fq.one())):
         with pytest.raises(RingMismatch):
             Type2(j=2, k=0, b=b)
         with pytest.raises(RingMismatch):
             Type3(j=1, k=0, t=2, b=b)
-    assert calls == []              # refused before unit_kind reads it
     # a b over another field quotient is refused when checked against a ring
     other = QuotientRing(F3, 1, 1, 1)
     with pytest.raises(RingMismatch):
         build_code(chain0, Type2(j=2, k=0, b=other.one()))
     with pytest.raises(RingMismatch):
         theory.min_pair_distance(chain0, Type3(j=1, k=0, t=2, b=other.one()))
+
+
+def test_unit_kind_refuses_the_chain_quotient():
+    # Over the chain quotient the coefficients a + u b are >= q, so they
+    # are not field elements that unit_kind could fold.
+    for chain in (QuotientRing(F3, 1, 2, 1, beta=0),
+                  QuotientRing(F3, 2, 1, 2, beta=1)):
+        fq = chain.field_quotient()
+        u = chain.lift(fq.zero(), fq.one())
+        for b in (u, chain.one(), chain.zero()):
+            with pytest.raises(RingMismatch):
+                unit_kind(chain, b)
+            with pytest.raises(RingMismatch):
+                unit_inverse(chain, b)
+        with pytest.raises(RingMismatch):
+            random_unit(chain, random.Random(0))
 
 
 def test_unit_kind_and_inverse():
@@ -604,6 +618,17 @@ def test_spec_generator_text():
         chain0, Type2(j=2, k=1, b=fq.zero())) == "u(x^2-2)"
 
 
+def test_spec_generator_text_validates_its_record():
+    field = QuotientRing(F3, 2, 1, 2)
+    assert spec_generator_text(field, FieldPower(1)) == "(x^2-2)"
+    with pytest.raises(TypeError):
+        spec_generator_text(field, "x")
+    with pytest.raises(BetaMismatch):
+        spec_generator_text(field, Type1(1))
+    with pytest.raises(ConstraintViolation):
+        spec_generator_text(field, FieldPower(99))
+
+
 def _reference_coords(w):
     """GF(p) coordinates one coefficient at a time: the field digits of
     each coefficient, a-part then b-part over the two-component ring."""
@@ -654,13 +679,11 @@ def test_ideal_code_matches_qpoly_reference():
         for spec in all_code_specs(ring, rng=random.Random(31)):
             gens = generators(ring, spec)
             code = codes.ideal_code(ring, gens)
-            basis, pivots = rref_mod_p(_reference_ideal_rows(ring, gens),
-                                       ring.p)
+            basis = rref_mod_p(_reference_ideal_rows(ring, gens), ring.p)
             label = (ring, spec_to_text(spec))
             assert code.basis.dtype == basis.dtype, label
             assert code.basis.shape == basis.shape, label
             assert code.basis.tobytes() == basis.tobytes(), label
-            assert code.pivots == pivots, label
             checked += 1
     assert checked > 150
 
@@ -706,9 +729,11 @@ def test_rref():
             cols = rng.randrange(1, 8)
             M = np.array([[rng.randrange(p) for _ in range(cols)]
                           for _ in range(rows)])
-            R, piv = rref_mod_p(M, p)
-            assert len(piv) == R.shape[0] <= min(rows, cols)
-            for r, c in zip(range(len(piv)), piv):
+            R = rref_mod_p(M, p)
+            piv = (R != 0).argmax(axis=1)
+            assert R.shape[0] <= min(rows, cols)
+            assert (np.diff(piv) > 0).all()
+            for r, c in enumerate(piv):
                 assert R[r, c] == 1
                 col = R[:, c].copy()
                 col[r] = 0
@@ -729,9 +754,33 @@ def test_same_rowspace_on_different_generating_sets():
             for e in _reference_scalars(ring):
                 rows.append(word_coords(w.scalar_mul(e)))
             w = consta_shift(w)
-        basis, _ = rref_mod_p(np.array(rows), ring.p)
-        other = ConstacyclicCode(ring, None, basis)
+        other = ConstacyclicCode(ring, rref_mod_p(np.array(rows), ring.p))
         assert base_code.same_rowspace(other)
+
+
+def test_membership_and_equality_hold_for_any_basis():
+    # A unit upper-triangular mix of a row-reduced basis spans the same
+    # code; only enumeration follows the basis as given.
+    ring = QuotientRing(F3, 1, 2, 1)
+    built = build_code(ring, FieldPower(3))
+    p, dim = ring.p, built.dim_p
+    mix = np.triu(np.random.default_rng(p).integers(0, p, (dim, dim)), 1)
+    code = ConstacyclicCode(
+        ring, ((mix + np.eye(dim, dtype=np.int64)) @ built.basis) % p)
+    assert not np.array_equal(code.basis, built.basis)
+    words = np.array([word_coords(w) for w in enumerate_codewords(code)])
+    assert len(words) == code.size == 729
+    assert code.contains_batch(words).all()
+    assert all(code.contains(w) for w in generators(ring, FieldPower(3)))
+    assert code.same_rowspace(built) and built.same_rowspace(code)
+    smaller = build_code(ring, FieldPower(4))
+    assert not code.same_rowspace(smaller)
+    assert not smaller.same_rowspace(code)
+    outside = words[1].copy()
+    outside[0] = (outside[0] + 1) % p
+    assert not built.contains_batch(outside[None, :])[0]
+    assert not code.contains_batch(outside[None, :])[0]
+    assert not code.contains(ring.one())
 
 
 def test_a_code_basis_owns_its_rows():

@@ -21,6 +21,7 @@ from paircodes.codes import (
 from paircodes.errors import (
     ConstraintViolation,
     ExponentOutOfRange,
+    NotPrime,
     VerificationMismatch,
 )
 from paircodes.galois import Field
@@ -121,6 +122,28 @@ def test_min_pair_distance_field_guards():
         min_pair_distance_field(0, 3, 1, 1)
     with pytest.raises(ExponentOutOfRange):
         min_pair_distance_field(1, 3, 1, 4)
+
+
+def test_closed_forms_refuse_a_p_not_prime_and_an_s_below_1():
+    forms = [lambda p, s: min_pair_distance_field(1, p, s, 0),
+             lambda p, s: binomial_power_weight(p, s, 0),
+             lambda p, s: exponent_interval(p, s, 1),
+             lambda p, s: min_hamming_distance(p, s, 0)]
+    for form in forms:
+        for p in (0, 1, 4, 9, -3):
+            with pytest.raises(NotPrime):
+                form(p, 2)
+        for s in (0, -1):
+            with pytest.raises(ConstraintViolation):
+                form(3, s)
+    with pytest.raises(NotPrime):
+        min_pair_distance_field(1, 4, 1, 1)
+    with pytest.raises(NotPrime):
+        binomial_power_weight(1, 5, 0)
+    with pytest.raises(ConstraintViolation):
+        min_pair_distance_field(1, 3, -1, 0)
+    with pytest.raises(ConstraintViolation):
+        exponent_interval(3, -1, 0)
 
 
 def test_formula_branches_reported():
@@ -263,15 +286,21 @@ def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
 def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
     ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
     budget = 1 << 8
-    scans = []
+    specs, scans = {}, []
+
+    def recording_build(ring, spec):
+        code = build_code(ring, spec)
+        specs[id(code)] = spec
+        return code
 
     def counting_scan(code, budget):
-        scans.append(code.spec)
+        scans.append(specs[id(code)])
         return scan_minima(code, budget)
 
     # Every closed form is off by one, so every nonzero code mismatches.
     monkeypatch.setattr(theory, "min_pair_distance",
                         lambda ring, spec: min_pair_distance(ring, spec) + 1)
+    monkeypatch.setattr(theory, "build_code", recording_build)
     monkeypatch.setattr(theory, "scan_minima", counting_scan)
     monkeypatch.setattr(pairmetric, "scan_minima", counting_scan)
     report = consistency_scan(ring, budget=budget, rng=random.Random(3))
