@@ -173,16 +173,20 @@ def cmd_distance(args, out) -> int:
             ring.n, ring.p, ring.s, _standard_exponents(ring, spec)[1])
         result["formula"] = {"branch": branch, "d_sp": formula,
                              "method": "closed-form"}
+    if args.method == "both":       # p^lg > budget once lg >= its bit length
+        lg = log_size(ring, spec)
+        if ring.p ** min(lg, args.budget.bit_length()) > args.budget:
+            size = (ring.p ** lg if lg * ring.p.bit_length() <= 4096
+                    else f"{ring.p}^{lg}")      # str() stops at 4300 digits
+            raise BudgetExceeded(
+                f"{size} codewords exceed --budget {args.budget}; "
+                "cannot verify the closed form exactly")
     if args.method in ("brute", "both"):
         code = build_code(ring, spec)
         rep = min_distance_brute(code, args.budget)
         result["brute"] = rep.to_dict()
         if rep.method != "exhaustive":
             result["brute"]["warning"] = "budget exceeded; upper bound only"
-            if args.method == "both":
-                raise BudgetExceeded(
-                    f"{code.size} codewords exceed --budget {args.budget}; "
-                    "cannot verify the closed form exactly")
         if args.method == "both":
             result["match"] = (rep.d_sp == formula)
             if not result["match"]:
@@ -210,16 +214,14 @@ def cmd_scan_consistency(args, out) -> int:
 
 
 def _mds_rows(ring: QuotientRing, rng: random.Random) -> list[dict]:
-    rows = []
-    seen = set()
+    rows, seen = [], set()
     for v in mds_classify(ring, rng=rng):
         if not v.is_mds or v.trivial:
             continue
         gen = spec_generator_text(ring, v.spec)
-        key = gen
-        if key in seen:
+        if gen in seen:
             continue
-        seen.add(key)
+        seen.add(gen)
         rows.append({
             "generator": gen,
             "size": f"{ring.p}^{log_size(ring, v.spec)}",

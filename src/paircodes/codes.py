@@ -29,6 +29,7 @@ two-component ring).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence, Union
 
@@ -38,6 +39,7 @@ from .errors import (
     BetaMismatch,
     BudgetExceeded,
     ConstraintViolation,
+    ConstructionRefused,
     InvalidValue,
     NotUnitNorZero,
     RingMismatch,
@@ -133,10 +135,8 @@ def unit_kind(fq: QuotientRing, b: QPoly) -> str:
     """
     if fq.is_chain or b.ring != fq:
         raise RingMismatch("b must live in the companion field quotient")
-    kind = fq._unit_kinds.get(b.coeffs)
-    if kind is None:
-        kind = fq._unit_kinds[b.coeffs] = _fold_kind(fq, b)
-    return kind
+    return fq.remember(("codes.unit_kind", b.coeffs),
+                       lambda: _fold_kind(fq, b))
 
 
 def _fold_kind(fq: QuotientRing, b: QPoly) -> str:
@@ -340,12 +340,17 @@ def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
 
 
 class ConstacyclicCode:
-    """An ideal of the quotient: the GF(p) row space of `basis`.  Words are
-    enumerated through `basis` as given; membership and equality ignore it."""
+    """An ideal of the quotient: the GF(p) row space of the independent rows
+    `basis`.  Words follow `basis` as given; membership and equality do not."""
 
     def __init__(self, ring: QuotientRing, basis: np.ndarray):
         self.ring = ring
         basis = np.ascontiguousarray(basis, dtype=np.int64)
+        nonzero = basis % ring.p != 0       # echelon rows are independent
+        lead = nonzero.argmax(axis=1)
+        if not (nonzero.any(axis=1).all() and (lead[1:] > lead[:-1]).all()) \
+                and len(rref_mod_p(basis, ring.p)) < len(basis):
+            raise ConstructionRefused(f"dependent basis rows over GF({ring.p})")
         basis.flags.writeable = False
         self.basis = basis
         self.dim_p = basis.shape[0]
@@ -388,8 +393,10 @@ class ConstacyclicCode:
         """Vectorized membership for rows of GF(p) coordinates: a word is a
         member when the reduced basis rebuilds it from its pivot columns."""
         p = self.ring.p
-        red = rref_mod_p(self.basis, p)
         w = np.asarray(words, dtype=np.int64) % p
+        if w.ndim != 2 or w.shape[1] != self.ncols:
+            raise RingMismatch(f"need rows of {self.ncols} coordinates")
+        red = rref_mod_p(self.basis, p)
         resid = (w - w[:, (red != 0).argmax(axis=1)] @ red) % p
         return ~resid.any(axis=1)
 
@@ -421,16 +428,13 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     """Materialize the ideal described by `spec` as a row-reduced basis.
 
     Records with the same generator coefficients span the same ideal, so
-    `ideal_code` runs once per distinct generator tuple of the ring, which
-    remembers the basis for as long as it lives.  Every record is
+    the ring remembers the basis per generator tuple.  Every record is
     still validated, and its rank is still checked against its own
     classified size.
     """
     gens = generators(ring, spec)
-    key = tuple(g.coeffs for g in gens)
-    basis = ring._ideals.get(key)
-    if basis is None:
-        basis = ring._ideals[key] = ideal_code(ring, gens).basis
+    basis = ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
+                          lambda: ideal_code(ring, gens).basis)
     code = ConstacyclicCode(ring, basis)
     want = _log_size(ring, spec)
     if code.dim_p != want:
@@ -505,14 +509,8 @@ def spec_to_text(spec: CodeSpec) -> str:
 
 def _poly_text_short(f: QPoly) -> str:
     """f's text without trailing "0" coefficients, made once per quotient."""
-    texts = f.ring._short_texts
-    text = texts.get(f.coeffs)
-    if text is None:
-        parts = f.ring.format_poly(f).split(",")
-        while len(parts) > 1 and parts[-1] == "0":
-            parts.pop()
-        text = texts[f.coeffs] = ",".join(parts)
-    return text
+    return f.ring.remember(("codes._poly_text_short", f.coeffs),
+                           lambda: re.sub(r"(,0)+$", "", f.ring.format_poly(f)))
 
 
 def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:

@@ -27,7 +27,7 @@ class DegreeMismatch(PairCodeError):
 
 
 class ConstructionRefused(PairCodeError):
-    """Quotient-ring parameters violate a structural requirement."""
+    """Quotient-ring parameters or a code's basis break a structural rule."""
 
 
 class ConstraintViolation(PairCodeError):

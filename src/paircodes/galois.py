@@ -162,6 +162,10 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+# The most elements a Field builds: its O(q) tables take about 16 s at 2^20.
+_MAX_Q = 1 << 20
+
+
 class Field:
     """GF(p^m), elements encoded as ints in [0, p^m).
 
@@ -171,6 +175,8 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
+        if as_int(p) > 1 and p ** min(as_int(m), _MAX_Q.bit_length()) > _MAX_Q:
+            raise InvalidValue(f"GF({p}^{m}) has more than {_MAX_Q} elements")
         if prime_factors(as_int(p)) != [p]:
             raise NotPrime(f"{p} is not prime")
         if as_int(m) < 1:

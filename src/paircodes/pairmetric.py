@@ -165,16 +165,12 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
     prefix is every nonzero codeword, and its last counter.  The zero code
     yields minima of None.
 
-    The result depends only on the basis and the budget, so the kernel runs
-    once per distinct (basis, budget) of the ring, which remembers the
-    result for as long as it lives; every call gets a fresh dict.
+    The result depends only on the basis and the budget, so the ring
+    remembers it per (basis, budget); every call gets a fresh dict.
     """
     check_budget(budget)
-    key = (code.basis.tobytes(), budget)
-    known = code.ring._scans.get(key)
-    if known is None:
-        known = code.ring._scans[key] = _scan(code, budget)
-    return dict(known)
+    key = ("pairmetric.scan_minima", code.basis.tobytes(), budget)
+    return dict(code.ring.remember(key, lambda: _scan(code, budget)))
 
 
 def _scan(code: ConstacyclicCode, budget: int) -> dict:

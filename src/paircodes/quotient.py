@@ -66,17 +66,7 @@ class QuotientRing:
             self.beta = field.check_element(beta)
             self.base = ChainRing(field)
             self.lam = self.base.make(self.alpha, self.beta)
-        self._field_quotient: QuotientRing | None = None
-        # Facts about a residue b, keyed by b.coeffs: unit_kind's verdict
-        # and the short text of spec_to_text (both in codes).
-        self._unit_kinds: dict[tuple[int, ...], str] = {}
-        self._short_texts: dict[tuple[int, ...], str] = {}
-        # Work done once per ring: build_code's basis by generator
-        # coefficients, and scan_minima's result by (basis bytes, budget).
-        # They hold plain data, nothing that refers back to the ring, so they
-        # live exactly as long as the ring.
-        self._ideals: dict[tuple, object] = {}
-        self._scans: dict[tuple[bytes, int], dict] = {}
+        self._memo: dict[tuple, object] = {}
 
     @property
     def is_chain(self) -> bool:
@@ -90,10 +80,18 @@ class QuotientRing:
         """The companion quotient over the plain field (same n, s, alpha0)."""
         if not self.is_chain:
             return self
-        if self._field_quotient is None:
-            self._field_quotient = QuotientRing(
-                self.field, self.n, self.s, self.alpha0)
-        return self._field_quotient
+        return self.remember(("field_quotient",), lambda: QuotientRing(
+            self.field, self.n, self.s, self.alpha0))
+
+    def remember(self, key: tuple, make):
+        """``make()``, run once per key for as long as the ring lives; the
+        key's first item names the kind of work.  Values hold plain data that
+        never refers back to the ring, and `make` never returns None.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make()
+        return value
 
     # -- polynomial constructors --------------------------------------------
 

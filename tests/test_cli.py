@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircodes
-from paircodes import __version__, cli
+from paircodes import __version__, cli, galois
 from paircodes.cli import main
 from paircodes.theory import min_pair_distance_field
 
@@ -132,6 +132,46 @@ def test_distance_both_over_budget_refuses(capsys):
          "--budget", "100"], capsys)
     assert code == 4
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
+def test_distance_both_refuses_over_budget_before_building(monkeypatch,
+                                                           capsys):
+    # The closed form fixes the code's size, so an over-budget request is
+    # refused before the code is built or scanned (--method brute still
+    # builds it: test_distance_brute_over_budget_degrades).
+    ring = ["--p", "2", "--n", "1", "--alpha0", "1",
+            "--spec", "field-power:i=1"]
+    built = []
+    monkeypatch.setattr(cli, "build_code", lambda *a: built.append(a))
+    for s, size in (("10", str(2 ** 1023)), ("40", "2^1099511627775")):
+        code, out, err = run_cli(["distance", *ring, "--s", s], capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": {
+            "type": "BudgetExceeded",
+            "message": f"{size} codewords exceed --budget {1 << 21}; "
+                       "cannot verify the closed form exactly"}}
+    assert built == []
+    monkeypatch.undo()
+    # 3^6 words: a budget of 729 is exact, 728 is one word short.
+    code, doc, _ = run_json(["distance", *FIELD_RING, "--spec",
+                             "field-power:i=0", "--budget", "729"], capsys)
+    assert code == 0 and doc["results"][0]["match"] is True
+    code, _, err = run_cli(["distance", *FIELD_RING, "--spec",
+                            "field-power:i=0", "--budget", "728"], capsys)
+    assert code == 4
+    assert json.loads(err)["error"]["message"].startswith(
+        "729 codewords exceed --budget 728;")
+
+
+def test_field_info_over_the_ceiling_exits_2(monkeypatch, capsys):
+    # Neither the primality test nor a table runs; see test_galois.
+    monkeypatch.setattr(galois, "prime_factors", None)
+    monkeypatch.setattr(galois.Field, "_build_logs", None)
+    for argv in (["--p", "2", "--m", "24"],
+                 ["--p", "2305843009213693951", "--m", "1"]):
+        code, out, err = run_cli(["field-info", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InvalidValue"
 
 
 def test_scan_consistency(capsys):

@@ -30,6 +30,7 @@ from paircodes.errors import (
     BetaMismatch,
     BudgetExceeded,
     ConstraintViolation,
+    ConstructionRefused,
     InvalidValue,
     NotUnitNorZero,
     RingMismatch,
@@ -781,6 +782,35 @@ def test_membership_and_equality_hold_for_any_basis():
     assert not built.contains_batch(outside[None, :])[0]
     assert not code.contains_batch(outside[None, :])[0]
     assert not code.contains(ring.one())
+
+
+def test_a_basis_with_dependent_rows_is_refused(monkeypatch):
+    ring = QuotientRing(F3, 1, 2, 1)
+    built = build_code(ring, FieldPower(7))             # 9 words
+    zero_row = np.zeros_like(built.basis[:1])
+    for rows in ([built.basis, built.basis], [built.basis, zero_row],
+                 [built.basis[:1], 2 * built.basis[:1]]):
+        with pytest.raises(ConstructionRefused):
+            ConstacyclicCode(ring, np.concatenate(rows))
+    # Independent rows are kept as given, in any order.
+    flipped = ConstacyclicCode(ring, built.basis[::-1])
+    assert np.array_equal(flipped.basis, built.basis[::-1])
+    assert flipped.size == 9 and flipped.same_rowspace(built)
+    # A basis in echelon form mod p needs no elimination to be accepted.
+    monkeypatch.setattr(codes, "rref_mod_p", None)
+    mixed = built.basis.copy()
+    mixed[0] = (mixed[0] + mixed[1]) % ring.p
+    for basis in (built.basis, mixed, built.basis + ring.p):
+        assert ConstacyclicCode(ring, basis).dim_p == 2
+
+
+def test_contains_batch_refuses_rows_of_the_wrong_width():
+    code = build_code(QuotientRing(F3, 1, 2, 1), FieldPower(7))
+    assert code.ncols == 9
+    for words in (np.zeros((1, 5)), np.zeros(9), np.zeros((1, 1, 9))):
+        with pytest.raises(RingMismatch):
+            code.contains_batch(words)
+    assert code.contains_batch(np.zeros((1, 9))).all()
 
 
 def test_a_code_basis_owns_its_rows():

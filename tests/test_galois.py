@@ -126,6 +126,33 @@ def test_modulus_validation():
         Field(3, 1, (-1, 1))
 
 
+def test_a_field_over_the_ceiling_is_refused_up_front(monkeypatch):
+    # Refused before the primality test, the modulus search and the O(q)
+    # tables, and without computing p^m for a huge m.
+    def never(*args):
+        raise AssertionError("work done past the size check")
+
+    for name in ("prime_factors", "_smallest_irreducible"):
+        monkeypatch.setattr(galois, name, never)
+    monkeypatch.setattr(Field, "_build_logs", never)
+    for p, m in ((2, 21), (2, 24), (2, 10 ** 18), (3, 13),
+                 (2 ** 61 - 1, 1), (4, 30)):
+        with pytest.raises(InvalidValue, match="more than 1048576 elements"):
+            Field(p, m)
+    monkeypatch.undo()
+    # The ceiling itself still builds; only the tables are skipped here.
+    built = []
+    monkeypatch.setattr(Field, "_build_logs", lambda f: built.append(f.q))
+    Field(2, 20)
+    Field(1021, 2)
+    assert built == [1 << 20, 1021 ** 2]
+    assert galois._MAX_Q == 1 << 20
+    with pytest.raises(NotPrime):
+        Field(4, 1)
+    with pytest.raises(DegreeMismatch):
+        Field(2, 0)
+
+
 def test_field_axioms_random():
     rng = random.Random(1)
     for p, m in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (7, 2)]:

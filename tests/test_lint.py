@@ -167,3 +167,17 @@ def test_every_cli_option_is_read():
             read.add(node.attr)
     assert len(options) > 10
     assert [flag for flag, dest in options if dest not in read] == []
+
+
+def test_src_reads_private_attributes_only_on_self():
+    # A _name attribute belongs to its own class: other code goes through a
+    # public method (a ring's memory, for one, through QuotientRing.remember).
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
+    assert found == []

@@ -456,8 +456,43 @@ def test_a_dropped_ring_is_freed():
         code = build_code(ring, Type1(2))
         result = scan_minima(code)
         ref = weakref.ref(ring)
-        assert report.ok and ring._ideals and ring._scans
+        assert report.ok and {"codes.build_code", "pairmetric.scan_minima"} \
+            <= {key[0] for key in ring._memo}
         del ring, report, code, result
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_every_ring_memo_goes_through_remember(monkeypatch):
+    # Each kind of work a ring remembers is named by the first item of its
+    # key; a rerun on the same ring with the same seed makes nothing anew.
+    kinds, made = set(), []
+    real_remember = QuotientRing.remember
+
+    def recording(self, key, make):
+        kinds.add(key[0])
+
+        def counted():
+            made.append(key)
+            return make()
+        return real_remember(self, key, counted)
+
+    monkeypatch.setattr(QuotientRing, "remember", recording)
+    ring = QuotientRing(Field(2, 1), 1, 2, 1, beta=0)
+
+    def sweep():
+        report = consistency_scan(ring, budget=1 << 10,
+                                  rng=random.Random(5))
+        texts = [spec_to_text(spec)
+                 for spec in all_code_specs(ring, rng=random.Random(5))]
+        return report.to_dict(), texts
+
+    first = sweep()
+    assert first[0]["ok"] and made
+    assert kinds == {"field_quotient", "codes.unit_kind",
+                     "codes._poly_text_short", "codes.build_code",
+                     "pairmetric.scan_minima"}
+    made.clear()
+    assert sweep() == first
+    assert made == []
