@@ -20,10 +20,14 @@ Each record's standard-form exponents, which fix its size and closed-form
 distances, are written once, in `_standard_exponents`.
 
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
-echelon form.  Codewords are laid out position-major: position t of a word
-occupies columns [t*d, (t+1)*d) where d is the GF(p)-dimension of the
-coefficient ring (m for the field, 2m with the a-part first for the
-two-component ring).
+echelon form, written straight from the standard form
+<a^e0 + u a^k c, u a^e1> with no elimination and then proved to span the
+ideal of the literal generators (see `_standard_basis`).  ``ideal_code``
+builds the same basis from arbitrary generators by one RREF; it is the
+reference the tests hold ``build_code`` to.  Codewords are laid out
+position-major: position t of a word occupies columns [t*d, (t+1)*d) where
+d is the GF(p)-dimension of the coefficient ring (m for the field, 2m with
+the a-part first for the two-component ring).
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ from .galois import as_int, parse_int
 from .quotient import QPoly, QuotientRing, binomial_power, qmul
 
 DEFAULT_BUDGET = 1 << 21
+# The most GF(p) columns (N times the coefficient ring's GF(p) dimension) a
+# code is built over.  Building multiplies square int64 matrices of up to
+# that size: 3-6 s and 25-35 MB of arrays at 2^10 columns on a 2-core VM,
+# eight times the time and four times the memory per doubling.
+MAX_COLUMNS = 1 << 10
 
 
 def check_budget(budget: int) -> None:
@@ -219,15 +228,19 @@ def all_code_specs(ring: QuotientRing, *,
 
 
 def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
-    """The defining generator polynomials, as elements of the quotient."""
+    """The defining generator polynomials, as elements of the quotient.
+
+    A sweep's records share a^j b across k and t, so the field quotient
+    makes each such product once."""
     validate_spec(ring, spec)
     if isinstance(spec, (FieldPower, ChainPrincipal)):
         return [binomial_power(ring, spec.i)]
     if isinstance(spec, Type1):
         return [binomial_power(ring, spec.k)]
     fq = ring.field_quotient()
-    head = ring.lift(qmul(binomial_power(fq, spec.j), spec.b),
-                     binomial_power(fq, spec.k))
+    ajb = fq.remember(("codes.generators", spec.j, spec.b.coeffs),
+                      lambda: qmul(binomial_power(fq, spec.j), spec.b).coeffs)
+    head = ring.lift(QPoly(fq, ajb), binomial_power(fq, spec.k))
     if isinstance(spec, Type2):
         return [head]
     return [head, binomial_power(ring, spec.k + spec.t)]
@@ -346,6 +359,8 @@ class ConstacyclicCode:
     def __init__(self, ring: QuotientRing, basis: np.ndarray):
         self.ring = ring
         basis = np.ascontiguousarray(basis, dtype=np.int64)
+        if basis.ndim != 2 or basis.shape[1] != self.ncols:
+            raise RingMismatch(f"need basis rows of {self.ncols} coordinates")
         nonzero = basis % ring.p != 0       # echelon rows are independent
         lead = nonzero.argmax(axis=1)
         if not (nonzero.any(axis=1).all() and (lead[1:] > lead[:-1]).all()) \
@@ -427,14 +442,20 @@ def ideal_code(ring: QuotientRing,
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     """Materialize the ideal described by `spec` as a row-reduced basis.
 
-    Records with the same generator coefficients span the same ideal, so
-    the ring remembers the basis per generator tuple.  Every record is
-    still validated, and its rank is still checked against its own
-    classified size.
+    A ring of more than `MAX_COLUMNS` GF(p) columns is refused before any
+    work.  Records with the same generator coefficients span the same
+    ideal, so the ring remembers the basis per generator tuple.  Every
+    record is still validated, and its rank is still checked against its
+    own classified size.
     """
+    cols = ring.N * ring.base.gfp_dim
+    if cols > MAX_COLUMNS:
+        raise ConstructionRefused(
+            f"a code is built over at most {MAX_COLUMNS} GF({ring.p}) "
+            f"columns; this ring has {cols}")
     gens = generators(ring, spec)
     basis = ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
-                          lambda: ideal_code(ring, gens).basis)
+                          lambda: _standard_basis(ring, spec, gens))
     code = ConstacyclicCode(ring, basis)
     want = _log_size(ring, spec)
     if code.dim_p != want:
@@ -442,6 +463,230 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
             f"rank {code.dim_p} != classified size exponent {want}",
             rank=code.dim_p)
     return code
+
+
+class _Digits:
+    """GF(p) digit arithmetic in one quotient, with no Python work per
+    coefficient.  An element is the (N, d) array of the GF(p) digits of
+    its coefficients (`_gfp_digits`).  A multiplier f is the (K, d) array
+    of the digits of its first K coefficients; its u-digits are zero when
+    f lies in the field quotient.  Multiplying a coefficient by a field
+    element c is the m x m matrix D(c) = sum_i c_i D(y^i) on each group of
+    m digits, and multiplying by x^t moves the positions and multiplies
+    the t that wrap by lam.  It holds plain data, never the ring, so a
+    ring can remember it (`_digits_of`).
+    """
+
+    def __init__(self, ring: QuotientRing):
+        field, p, m, d = ring.field, ring.p, ring.m, ring.base.gfp_dim
+        self.p, self.N, self.m, self.d = p, ring.N, m, d
+        self.place = p ** np.arange(d, dtype=np.int64)
+        self.steps = np.arange(ring.N + 1)
+        # Column t*d + e holds digit e of position t.
+        self.cols = self.steps[:ring.N, None] * d + np.arange(m)
+        ys = self.place[:m].tolist()
+        table = self.digits([field.mul(a, b) for b in ys for a in ys]
+                            + [ring.base.mul(ring.lam, e)
+                               for e in self.place.tolist()])
+        # Row i is D(y^i), flattened: row r of D(y^i) holds the digits of
+        # y^r * y^i.  Then the d x d matrix of multiplication by lam.
+        self.ys_mats = table[:m * m, :m].reshape(m, m * m)
+        self.lam = table[m * m:]
+
+    def digits(self, values) -> np.ndarray:
+        """`_gfp_digits` of encoded coefficients, d digits each."""
+        return np.asarray(values, dtype=np.int64)[..., None] \
+            // self.place % self.p
+
+    def of(self, *fs: QPoly) -> np.ndarray:
+        return self.digits([f.coeffs for f in fs])
+
+    def mats(self, F: np.ndarray) -> np.ndarray:
+        """D(c) for each c with field digits F (..., m)."""
+        m = self.m
+        return (F @ self.ys_mats).reshape(F.shape[:-1] + (m, m))
+
+    def shifts(self, X: np.ndarray, count: int) -> np.ndarray:
+        """x^t X for t < count <= N + 1, as (..., count, N, d): positions
+        N - t .. 2N - t - 1 of [lam X, X]."""
+        N, steps = self.N, self.steps
+        both = np.concatenate([X @ self.lam % self.p, X], axis=-2)
+        return np.take(both, N - steps[:count, None] + steps[:N], axis=-2)
+
+    def times(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """sum_i f_oi X_i for each output o: X stacks k elements (k, N, d)
+        and F their multipliers (o, k, K, d); f = f_a + u f_u.  One matrix
+        product sums D(f_oit)[in, out] times digit `in` of each group of
+        x^t X_i over (i, t, in)."""
+        m, N, d = self.m, self.N, self.d
+        o, k, K = F.shape[:3]
+        S = self.shifts(X, K).reshape(k, K, N, d // m, m)
+        S = S.transpose(0, 1, 4, 2, 3).reshape(k * K * m, N * d // m)
+        D = self.mats(F[..., :m]).transpose(0, 4, 1, 2, 3).reshape(o * m, -1)
+        Y = (D @ S).reshape(o, m, N, d // m).transpose(0, 2, 3, 1)
+        Y = Y.reshape(o, N, d)
+        if F[..., m:].any():
+            Y = Y + self.times_u(self.times(X, F[..., m:]))
+        return Y % self.p
+
+    def times_u(self, X: np.ndarray) -> np.ndarray:
+        Y = np.zeros_like(X)
+        Y[..., self.m:] = X[..., :self.m]
+        return Y
+
+    def basis_multiples(self, S: np.ndarray) -> np.ndarray:
+        """The rows y^e S[t] for each t and e < m, in that order."""
+        (count, N, d), m = S.shape, self.m
+        if m > 1:
+            S = np.einsum("tnjk,ekl->tenjl", S.reshape(count, N, d // m, m),
+                          self.mats(np.eye(m, dtype=np.int64)))
+        return S.reshape(count * m, N * d)
+
+    def scale(self, X: np.ndarray, cs) -> np.ndarray:
+        """X[i] times the field element cs[i], for each i."""
+        D = self.mats(self.digits(cs)[:, :self.m])
+        return (X.reshape(len(X), -1, self.m) @ D).reshape(X.shape) % self.p
+
+    def toeplitz(self, series: np.ndarray) -> np.ndarray:
+        """The upper block-Toeplitz matrix with D(series[j]) on its j-th
+        block diagonal, one block row per entry of `series` (count, m)."""
+        count, m = series.shape
+        at = self.steps[:count]
+        T = np.take(self.mats(np.concatenate([np.zeros_like(series), series])),
+                    count + at - at[:, None], axis=0)
+        return T.transpose(0, 2, 1, 3).reshape(count * m, count * m)
+
+
+def _digits_of(ring: QuotientRing) -> _Digits:
+    return ring.remember(("codes._Digits",), lambda: _Digits(ring))
+
+
+def _standard_pair(ring: QuotientRing, spec: CodeSpec, dig: _Digits,
+                   lits: np.ndarray) -> np.ndarray:
+    """Digits of g0 = a^e0 + u a^k c and g1 = u a^e1, each an explicit ring
+    multiple of the literal generators `lits`, stacked; g0 is zero where
+    the code has no a-part of its own (a field code, b = 0 in Type2, a
+    chain code past p^s).  With h = a^j b + u a^k and c = b^-1: g0 = c h,
+    and g1 = a^(p^s-j) h in Type2, a^(k+t-j) h - b a^(k+t) in Type3."""
+    ps, zero = ring.p ** ring.s, np.zeros_like(lits[:1])
+    if isinstance(spec, FieldPower):
+        return np.concatenate([zero, lits])
+    if isinstance(spec, Type1):
+        return np.concatenate([lits, dig.times_u(lits)])
+    if isinstance(spec, ChainPrincipal):         # a^(p^s) = u beta here
+        to_u = ring.field.pow(ring.beta, -1)
+        if spec.i > ps:
+            return np.concatenate([zero, dig.times(
+                lits, dig.digits([[[to_u]]]))])
+        F = dig.of(binomial_power(ring, ps - spec.i).scalar_mul(to_u))
+        return np.concatenate([lits, dig.times(lits, F[None])])
+    if spec.b.is_zero():        # <u a^k>, and a^(k+t) after it in Type3
+        return lits[::-1] if isinstance(spec, Type3) else \
+            np.concatenate([zero, lits])
+    fq = ring.field_quotient()
+    if isinstance(spec, Type2):
+        F = dig.of(unit_inverse(fq, spec.b), binomial_power(fq, ps - spec.j))
+        return dig.times(lits, F[:, None])
+    F = dig.of(unit_inverse(fq, spec.b), fq.zero(),
+               binomial_power(fq, spec.k + spec.t - spec.j), spec.b)
+    F[3] = -F[3] % ring.p
+    return dig.times(lits, F.reshape(2, 2, *F.shape[1:]))
+
+
+def _pivot_inverse(ring: QuotientRing, dig: _Digits, e: int) -> np.ndarray:
+    """The inverse of the pivot block of the basis multiples of x^t a^e,
+    t < N - n e, for a^e monic: the upper block-Toeplitz matrix of the
+    power-series inverse of a^e.  For e > 0 that series is the monic
+    a^(p^s - e), as their product x^N - alpha is constant below x^N; the
+    inverse of a^0 = 1 is 1, not a^(p^s) = 0.  The ring keeps the series
+    per e, not the matrix, which would hold (N m)^2 entries per e."""
+    def make():
+        ps, m = ring.p ** ring.s, ring.m
+        series = dig.of(binomial_power(ring.field_quotient(), (ps - e) % ps))
+        head = int(series[0, 0, :m] @ dig.place[:m])
+        if head != 1:
+            series = dig.scale(series, [ring.field.pow(head, -1)])
+        return series[0, :, :m]
+    series = ring.remember(("codes._pivot_inverse", e), make)
+    return dig.toeplitz(series[:ring.N - ring.n * e])
+
+
+def _standard_basis(ring: QuotientRing, spec: CodeSpec,
+                    gens: list[QPoly]) -> np.ndarray:
+    """The row-reduced basis of the ideal I of `gens`, the literal
+    generators of `spec`, written from its standard form with no
+    elimination.
+
+    g0 = a^e0 + u a^k c and g1 = u a^e1 are ring multiples of `gens`
+    (`_standard_pair`), each made monic at its lowest digit block: the
+    a-digits of position 0 for g0, the u-digits for g1 (all the digits
+    over the field).  The rows are y^e x^t g0 for t < c0 = N - n e0 and
+    y^e x^t g1 for t < c1 = N - n e1, e < m, with (e0, e1) read from
+    `_standard_exponents`.  Their pivot columns are digit e of the
+    a-block, resp. u-block, of position t.  In block order, a-rows first,
+    the pivot block is [[T_a, B], [0, T_u]] with T_a and T_u unit upper
+    block-Toeplitz; its inverse Q has the power-series inverses of
+    T_a and T_u on the diagonal (`_pivot_inverse`), and R = Q rows:
+    R_u = T_u^-1 U, R_a = T_a^-1 (A - B R_u).  Pivot order would not be
+    triangular: x^t g0 wraps its u-part below position t.
+
+    Proof that R is the RREF basis of I, checked here, not assumed:
+    * R[:, piv] = I.  R = Q rows with Q unit upper triangular, so the
+      pivot block is Q^-1, unit upper triangular: the rows are
+      independent and R spans what they span, call it V.
+    * Sorted by pivot, each row of R starts at its pivot: echelon form.
+    * Every literal generator lies in V, so I is in V once V is an ideal.
+    * x^c0 g0, x^c1 g1, u g0 and u g1 lie in V.  V is closed under
+      GF(p^m) scalars (the y^e span them); x times a row is the next row
+      or a scalar times x^c g, and u times a row is a scalar times a
+      shift of u g, so V is closed under x and u: an ideal.
+    Every row is a ring multiple of `gens`, so V is in I: V = I.  A check
+    that fails, for one because (e0, e1) are wrong, raises
+    VerificationMismatch.
+    """
+    p, N, n, m = ring.p, ring.N, ring.n, ring.m
+    d = ring.base.gfp_dim
+    dig = _digits_of(ring)
+    lits = dig.of(*gens)
+    G = _standard_pair(ring, spec, dig, lits)
+    e0, e1 = _standard_exponents(ring, spec)
+    c0, c1 = N - n * e0, N - n * e1
+    heads = G[:, 0].reshape(2, -1, m) @ dig.place[:m]    # per digit group
+    leads = int(heads[0, 0]), int(heads[1, -1])
+    if not all(0 <= c <= N and (lead or not c)
+               for c, lead in zip((c0, c1), leads)):
+        raise VerificationMismatch(
+            f"no standard form with {c0} + {c1} shifts for "
+            f"{spec_to_text(spec)}")
+    if any(c and lead != 1 for c, lead in zip((c0, c1), leads)):
+        G = dig.scale(G, [ring.field.pow(lead, -1) if c else 1
+                          for c, lead in zip((c0, c1), leads)])
+    # One gather for both blocks, or for g1 alone when g0 has no rows.
+    S = dig.shifts(G[1 - bool(c0):], max(c0, c1) + 1)
+    S0, S1 = S[0] if c0 else G[:1], S[-1]
+    checks = [lits, S0[c0:c0 + 1], S1[c1:c1 + 1]]
+    if d > m:
+        checks.append(dig.times_u(G))
+    checks = np.concatenate(checks).reshape(-1, N * d)
+    piv = (dig.cols[:c1] + d - m).ravel()
+    R = _pivot_inverse(ring, dig, e1) @ dig.basis_multiples(S1[:c1])
+    R %= p
+    del S, S1                   # a build's peak memory is about 3 R
+    if c0:
+        A = dig.basis_multiples(S0[:c0])
+        R_a = _pivot_inverse(ring, dig, e0) @ ((A - A[:, piv] @ R) % p) % p
+        piv = np.concatenate([dig.cols[:c0].ravel(), piv])
+        order = np.argsort(piv)
+        R, piv = np.concatenate([R_a, R])[order], piv[order]
+    pivots = R[:, piv]
+    if not (np.count_nonzero(pivots) == len(piv)
+            and (pivots.diagonal() == 1).all()
+            and ((R != 0).argmax(axis=1) == piv).all()
+            and not ((checks - checks[:, piv] @ R) % p).any()):
+        raise VerificationMismatch(
+            f"the standard form of {spec_to_text(spec)} does not reduce to "
+            "the ideal of its generators")
+    return R
 
 
 def enumerate_codewords(code: ConstacyclicCode,
@@ -473,15 +718,30 @@ def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:
 
 
 def unit_inverse(fq: QuotientRing, b: QPoly) -> QPoly:
-    """Inverse of a unit of the field quotient, by GF(p) linear algebra:
-    coords(x) @ M = coords(1) with M the multiplication matrix of b.  M is
-    invertible, so the RREF of [M^T | coords(1)] is [I | coords(x)]."""
-    if unit_kind(fq, b) != "unit":
+    """Inverse of a unit of the field quotient, made once per quotient.
+
+    The units of F[x]/(a^(p^s)) are GF(q^n)* times 1 + aF[x], a group of
+    exponent p^s, so b^(p^s (q^n - 1)) = 1: b^-1 is b to one less, by
+    square and multiply.  For any other b that power is no inverse, and b
+    is refused."""
+    if fq.is_chain or b.ring != fq:
+        raise RingMismatch("b must live in the companion field quotient")
+    return QPoly(fq, fq.remember(("codes.unit_inverse", b.coeffs),
+                                 lambda: _unit_power(fq, b)))
+
+
+def _unit_power(fq: QuotientRing, b: QPoly) -> tuple[int, ...]:
+    """Coefficients of b^(p^s (q^n - 1) - 1), checked to be b^-1."""
+    dig, p = _digits_of(fq), fq.p
+    B, one = dig.of(b, fq.one())
+    out = one
+    for bit in bin(p ** fq.s * (fq.field.q ** fq.n - 1) - 1)[2:]:
+        out = dig.times(out[None], out[None, None])[0]
+        if bit == "1":
+            out = dig.times(out[None], B[None, None])[0]
+    if not np.array_equal(dig.times(out[None], B[None, None])[0], one):
         raise NotUnitNorZero(f"{b!r} is not a unit of {fq!r}")
-    M = _multiples(fq, b).T
-    rhs = word_coords(fq.one())
-    red = rref_mod_p(np.concatenate([M, rhs[:, None]], axis=1), fq.p)
-    return fq.poly(_gfp_values(red[:, -1], fq.p, fq.m))
+    return tuple(_gfp_values(out, p, fq.m).tolist())
 
 
 # --- textual parameter records ------------------------------------------------

@@ -20,8 +20,9 @@ counters is that table plus one word, brought back into [0, p) by one
 conditional subtract (unsigned words - p wraps above words when words < p).
 Scaling a word by a unit keeps its support, and a counter with leading
 base-p digit a != 1 names a times a smaller counter with leading digit 1.
-So only counters with leading digit 1 are visited (one in p-1): the
-minima, and the first counter attaining each, are those of the prefix.
+So the low table is weighed whole, as one block, and past it only the
+counters with leading digit 1 are visited (one in p-1): the minima, and
+the first counter attaining each, are those of the prefix.
 """
 
 from __future__ import annotations
@@ -143,18 +144,18 @@ def _low_table(code: ConstacyclicCode, h: int, dtype) -> np.ndarray:
 
 
 def _blocks(code: ConstacyclicCode, low: np.ndarray, last: int):
-    """(first counter, words) over the counters p^j..2p^j-1 up to last."""
+    """(first counter, words): the low table's counters from 1 up to last
+    in one block, then the counters p^j..2p^j-1 up to last, p^j >= span."""
     p, span = code.ring.p, low.shape[1]
-    lead = 1
+    if last:
+        yield 1, low[:, 1:min(span, last + 1)]
+    lead = span
     while lead <= last:
         stop = min(2 * lead, last + 1)
-        if lead < span:
-            yield lead, low[:, lead:stop]
-        else:
-            for first in range(lead, stop, span):
-                words = (low[:, :min(span, stop - first)]
-                         + code.coords_at(first).astype(low.dtype)[:, None])
-                yield first, np.minimum(words, words - p, out=words)
+        for first in range(lead, stop, span):
+            words = (low[:, :min(span, stop - first)]
+                     + code.coords_at(first).astype(low.dtype)[:, None])
+            yield first, np.minimum(words, words - p, out=words)
         lead *= p
 
 

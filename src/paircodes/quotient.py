@@ -227,16 +227,16 @@ def qmul(f: QPoly, g: QPoly) -> QPoly:
             f"polynomials live in different quotients: "
             f"{f.ring!r} vs {g.ring!r}")
     ring = f.ring
-    base, N, lam = ring.base, ring.N, ring.lam
+    N, lam, add, mul = ring.N, ring.lam, ring.base.add, ring.base.mul
+    terms = [(j, b) for j, b in enumerate(g.coeffs) if b]
     buf = [0] * (2 * N - 1)
     for i, a in enumerate(f.coeffs):
         if a:
-            for j, b in enumerate(g.coeffs):
-                if b:
-                    buf[i + j] = base.add(buf[i + j], base.mul(a, b))
+            for j, b in terms:
+                buf[i + j] = add(buf[i + j], mul(a, b))
     for t in range(2 * N - 2, N - 1, -1):
         if buf[t]:
-            buf[t - N] = base.add(buf[t - N], base.mul(lam, buf[t]))
+            buf[t - N] = add(buf[t - N], mul(lam, buf[t]))
     return QPoly(ring, tuple(buf[:N]))
 
 
@@ -265,12 +265,15 @@ def binomial_power(ring: QuotientRing, i: int) -> QPoly:
     w, r = divmod(i, ps)
     if w and not (w == 1 and ring.beta):
         return ring.zero()
-    field = ring.field
-    neg_a0 = field.neg(ring.alpha0)
+    field, p, n = ring.field, ring.p, ring.n
+    mul, neg_a0 = field.mul, field.neg(ring.alpha0)
     cs = [0] * ring.N
-    for j in range(r + 1):
-        c = field.mul(math.comb(r, j) % ring.p, field.pow(neg_a0, r - j))
-        cs[ring.n * j] = ring.base.make(0, field.mul(ring.beta, c)) if w else c
+    power = 1                   # (-alpha0)^(r - j)
+    for j in range(r, -1, -1):
+        cs[n * j] = mul(math.comb(r, j) % p, power)
+        power = mul(power, neg_a0)
+    if w:
+        cs = [ring.base.make(0, mul(ring.beta, c)) for c in cs]
     return QPoly(ring, tuple(cs))
 
 

@@ -2,6 +2,7 @@ import builtins
 import json
 import os
 import shutil
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -436,3 +437,22 @@ def test_installed_script(capsys):
         assert proc.returncode == 0, (command, proc.stderr)
         assert proc.stdout == expected, command
 
+
+
+def test_a_ring_over_the_column_ceiling_is_refused_before_any_work():
+    # N = 2^40 positions: refused before a generator is written down.  The
+    # child's address space is capped, so a build that did start would end
+    # in a MemoryError, not take the machine's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    ring = ["--p", "2", "--s", "40", "--n", "1", "--alpha0", "1",
+            "--spec", "field-power:i=1"]
+    for argv in (["build-code", *ring],
+                 ["distance", *ring, "--method", "brute"]):
+        proc = subprocess.run([sys.executable, "-m", "paircodes.cli", *argv],
+                              capture_output=True, text=True, env=TREE_ENV,
+                              preexec_fn=cap, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == \
+            "ConstructionRefused"

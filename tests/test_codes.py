@@ -844,13 +844,13 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
     assert [g.coeffs for g in generators(ring, first)] == \
         [g.coeffs for g in generators(ring, second)]
     runs = []
-    real_ideal_code, real_log_size = codes.ideal_code, codes._log_size
+    real_basis, real_log_size = codes._standard_basis, codes._log_size
 
-    def counting_ideal_code(ring, gens):
+    def counting_basis(ring, spec, gens):
         runs.append(gens)
-        return real_ideal_code(ring, gens)
+        return real_basis(ring, spec, gens)
 
-    monkeypatch.setattr(codes, "ideal_code", counting_ideal_code)
+    monkeypatch.setattr(codes, "_standard_basis", counting_basis)
     rank = build_code(ring, first).dim_p
     monkeypatch.setattr(codes, "_log_size", lambda ring, spec:
                         real_log_size(ring, spec) + (spec == second))
@@ -861,3 +861,69 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
         build_code(ring, Type2(j=1, k=0, b=zero))
     assert build_code(ring, first).dim_p == rank
     assert len(runs) == 1
+
+
+def _grid_rings():
+    """Field, beta != 0 and beta = 0 rings over GF(p) and GF(p^2), with
+    n = 1, 2 and 3."""
+    f4, f7, f9 = Field(2, 2), Field(7, 1), Field(3, 2)
+    for args in [(F2, 1, 2, 1), (F3, 2, 1, 2), (f7, 3, 1, 3), (f4, 1, 1, 2),
+                 (f4, 3, 1, 2), (f9, 2, 1, irreducible_binomial_constants(
+                     f9, 2)[0])]:
+        for beta in (None, 0, 1):
+            yield QuotientRing(*args, beta=beta)
+
+
+def test_build_code_is_the_reduced_ideal_of_the_literal_generators():
+    # build_code writes the basis from the standard form with no
+    # elimination; ideal_code reduces every multiple of the generators.
+    checked = 0
+    for ring in _grid_rings():
+        for spec in all_code_specs(ring, rng=random.Random(5)):
+            got = build_code(ring, spec).basis
+            want = codes.ideal_code(ring, generators(ring, spec)).basis
+            label = (ring, spec_to_text(spec))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+            assert got.tobytes() == want.tobytes(), label
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("plant", [(1, 0), (-1, 0), (0, 1), (0, -1),
+                                   (1, -1), (-1, 1)])
+def test_a_planted_standard_exponent_fails_the_build(monkeypatch, plant):
+    # The build reads (e0, e1) and proves what it wrote, so an exponent off
+    # by one is caught, also when the classified size it implies is right.
+    real = codes._standard_exponents
+
+    def planted(ring, spec):
+        e0, e1 = real(ring, spec)
+        return e0 + plant[0], e1 + plant[1]
+
+    monkeypatch.setattr(codes, "_standard_exponents", planted)
+    for ring in _small_rings() + [QuotientRing(Field(2, 2), 3, 1, 2, beta=0)]:
+        for spec in all_code_specs(ring, rng=random.Random(2)):
+            with pytest.raises(VerificationMismatch):
+                build_code(ring, spec)
+
+
+def test_build_code_runs_no_elimination(monkeypatch):
+    # Every record of the benchmark's sweep-wide ring, built and proved
+    # without rref_mod_p.
+    def refused(*args):
+        raise AssertionError("rref_mod_p ran")
+
+    monkeypatch.setattr(codes, "rref_mod_p", refused)
+    ring = QuotientRing(F2, 1, 4, 1, beta=0)
+    specs = all_code_specs(ring, rng=random.Random(1))
+    assert len(specs) == 1985
+    for spec in specs:
+        assert build_code(ring, spec).dim_p == log_size(ring, spec)
+
+
+def test_a_basis_of_the_wrong_shape_is_refused():
+    ring = QuotientRing(F3, 1, 2, 1)                    # 9 columns
+    for basis in (np.eye(3), np.eye(9)[0], np.zeros((1, 1, 9)), np.eye(10)):
+        with pytest.raises(RingMismatch):
+            ConstacyclicCode(ring, basis)
+    assert ConstacyclicCode(ring, np.eye(9)[:2]).size == 9

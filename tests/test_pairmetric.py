@@ -291,7 +291,8 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
     vecs = list(_reference_words(code))
     for w, vec in zip(words, vecs[:p * p]):
         assert word_coords(w).tolist() == vec
-    # The blocks hold exactly the words with leading digit 1, reduced mod p.
+    # The blocks hold exactly the whole low table, then the words with
+    # leading digit 1, reduced mod p.
     blocks, seen = pairmetric._blocks, []
 
     def recording_blocks(*args):
@@ -303,7 +304,7 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
     scan_minima(code, code.size)
     monkeypatch.undo()
     assert [c for c, _ in seen] == [c for c in range(1, code.size)
-                                    if _leading_digit(c, p) == 1]
+                                    if c < low or _leading_digit(c, p) == 1]
     assert all(vec == vecs[c - 1] for c, vec in seen)
     pair, ham = [], []
     for vec in vecs:

@@ -426,17 +426,17 @@ def test_consistency_scan_builds_each_ideal_and_scans_each_code_once(
         if basis.shape[0]:
             bases.add(basis.tobytes())
     ideal_runs, kernel_runs = [], []
-    real_ideal_code, real_scan = codes.ideal_code, pairmetric._scan
+    real_basis, real_scan = codes._standard_basis, pairmetric._scan
 
-    def counting_ideal_code(ring, gens):
+    def counting_basis(ring, spec, gens):
         ideal_runs.append(gens)
-        return real_ideal_code(ring, gens)
+        return real_basis(ring, spec, gens)
 
     def counting_scan(code, budget):
         kernel_runs.append(budget)
         return real_scan(code, budget)
 
-    monkeypatch.setattr(codes, "ideal_code", counting_ideal_code)
+    monkeypatch.setattr(codes, "_standard_basis", counting_basis)
     monkeypatch.setattr(pairmetric, "_scan", counting_scan)
     report = consistency_scan(ring, rng=random.Random(7))
     assert report.ok and report.skipped == 0
@@ -492,7 +492,8 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
     assert first[0]["ok"] and made
     assert kinds == {"field_quotient", "codes.unit_kind",
                      "codes._poly_text_short", "codes.build_code",
-                     "pairmetric.scan_minima"}
+                     "codes.generators", "codes.unit_inverse", "codes._Digits",
+                     "codes._pivot_inverse", "pairmetric.scan_minima"}
     made.clear()
     assert sweep() == first
     assert made == []
