@@ -308,25 +308,9 @@ def rref_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     return mat[:r].copy()
 
 
-def _gfp_digits(values, p: int, d: int) -> np.ndarray:
-    """GF(p) coordinates of encoded coefficients, on a new last axis of
-    length d: their base-p digits, least significant first.  A field
-    element's digits are its coordinates, and a + q*b over the
-    two-component ring gives the digits of a, then those of b."""
-    values = np.asarray(values, dtype=np.int64)[..., None]
-    return values // np.int64(p) ** np.arange(d, dtype=np.int64) % p
-
-
 def word_coords(w: QPoly) -> np.ndarray:
     """GF(p) coordinate row of a word, position-major."""
-    return _gfp_digits(w.coeffs, w.ring.p, w.ring.base.gfp_dim).reshape(-1)
-
-
-def _gfp_values(digits, p: int, d: int) -> np.ndarray:
-    """Encoded coefficients of a coordinate row, d digits per coefficient:
-    the inverse of `_gfp_digits`."""
-    digits = np.asarray(digits, dtype=np.int64).reshape(-1, d)
-    return digits @ np.int64(p) ** np.arange(d, dtype=np.int64)
+    return _digits_of(w.ring).of(w).reshape(-1)
 
 
 def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
@@ -343,10 +327,10 @@ def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
     if g.ring != ring:
         raise RingMismatch("generator lives in a different quotient")
     base, p, N, d = ring.base, ring.p, ring.N, ring.base.gfp_dim
-    scalars = [p ** e for e in range(d)]
-    lam = _gfp_digits([base.mul(ring.lam, e) for e in scalars], p, d)
-    W = _gfp_digits([[base.mul(e, c) for c in g.coeffs] for e in scalars],
-                    p, d)
+    dig = _digits_of(ring)
+    scalars = dig.place.tolist()
+    lam = dig.digits([base.mul(ring.lam, e) for e in scalars])
+    W = dig.digits([[base.mul(e, c) for c in g.coeffs] for e in scalars])
     both = np.concatenate([W @ lam % p, W], axis=1)
     shifts = N - np.arange(N)[:, None] + np.arange(N)
     return both[:, shifts].transpose(1, 0, 2, 3).reshape(N * d, N * d)
@@ -394,8 +378,8 @@ class ConstacyclicCode:
         return (np.array(digits, dtype=np.int64) @ rows) % self.ring.p
 
     def word_at(self, counter: int) -> QPoly:
-        return self.ring.poly(_gfp_values(self.coords_at(counter), self.ring.p,
-                                          self.ring.base.gfp_dim))
+        return self.ring.poly(
+            _digits_of(self.ring).values(self.coords_at(counter)))
 
     # -- membership -----------------------------------------------------------
 
@@ -468,7 +452,7 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
 class _Digits:
     """GF(p) digit arithmetic in one quotient, with no Python work per
     coefficient.  An element is the (N, d) array of the GF(p) digits of
-    its coefficients (`_gfp_digits`).  A multiplier f is the (K, d) array
+    its coefficients (`digits`).  A multiplier f is the (K, d) array
     of the digits of its first K coefficients; its u-digits are zero when
     f lies in the field quotient.  Multiplying a coefficient by a field
     element c is the m x m matrix D(c) = sum_i c_i D(y^i) on each group of
@@ -494,9 +478,18 @@ class _Digits:
         self.lam = table[m * m:]
 
     def digits(self, values) -> np.ndarray:
-        """`_gfp_digits` of encoded coefficients, d digits each."""
+        """GF(p) coordinates of encoded coefficients, on a new last axis of
+        length d: their base-p digits, least significant first.  A field
+        element's digits are its coordinates, and a + q*b over the
+        two-component ring gives the digits of a, then those of b."""
         return np.asarray(values, dtype=np.int64)[..., None] \
             // self.place % self.p
+
+    def values(self, digits) -> np.ndarray:
+        """Encoded coefficients of a coordinate row, d digits per
+        coefficient: the inverse of `digits`."""
+        return np.asarray(digits, dtype=np.int64).reshape(-1, self.d) \
+            @ self.place
 
     def of(self, *fs: QPoly) -> np.ndarray:
         return self.digits([f.coeffs for f in fs])
@@ -741,7 +734,7 @@ def _unit_power(fq: QuotientRing, b: QPoly) -> tuple[int, ...]:
             out = dig.times(out[None], B[None, None])[0]
     if not np.array_equal(dig.times(out[None], B[None, None])[0], one):
         raise NotUnitNorZero(f"{b!r} is not a unit of {fq!r}")
-    return tuple(_gfp_values(out, p, fq.m).tolist())
+    return tuple(dig.values(out).tolist())
 
 
 # --- textual parameter records ------------------------------------------------

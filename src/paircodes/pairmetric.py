@@ -16,8 +16,14 @@ The scan covers counters 1..p^dim - 1 when they fit the budget
 
 The kernel only adds: a low table holds every combination of the first h
 basis rows (p^h <= ``_BLOCK`` words), and a block of p^h consecutive
-counters is that table plus one word, brought back into [0, p) by one
-conditional subtract (unsigned words - p wraps above words when words < p).
+counters is that table plus one word.  Words take one of two forms,
+chosen by p alone.  At odd p a word is one unsigned integer per GF(p)
+coordinate, brought back into [0, p) after each addition by one
+conditional subtract (unsigned words - p wraps above words when
+words < p): about |C| * N * d / (p-1) additions.  At p = 2 a word is d
+digit planes of ceil(N/64) uint64 lanes, adding is XOR, and the support
+and pair support are a few OR and shift operations on the lanes, weighed
+by counting bits: about |C| * d * ceil(N/64) word operations.
 Scaling a word by a unit keeps its support, and a counter with leading
 base-p digit a != 1 names a times a smaller counter with leading digit 1.
 So the low table is weighed whole, as one block, and past it only the
@@ -130,32 +136,101 @@ class DistanceReport:
 _BLOCK = 1 << 13
 
 
-def _low_table(code: ConstacyclicCode, h: int, dtype) -> np.ndarray:
+class _Symbols:
+    """The words of odd p (any p fits): one unsigned integer per GF(p)
+    coordinate, on the narrowest integers that hold 2(p-1).  A sum of two
+    digits is brought back into [0, p) by one conditional subtract
+    (unsigned x - p wraps above x when x < p), so the rows are the basis
+    reduced mod p."""
+
+    def __init__(self, code: ConstacyclicCode):
+        self.code, self.p = code, code.ring.p
+        self.N, self.d = code.ring.N, code.ring.base.gfp_dim
+        self.dtype = np.min_scalar_type(2 * (self.p - 1))
+        self.rows = (code.basis % self.p).astype(self.dtype)
+
+    def add(self, words, word, out=None):
+        out = np.add(words, word, out=out)
+        return np.minimum(out, out - self.p, out=out)
+
+    def word(self, counter: int) -> np.ndarray:
+        return self.code.coords_at(counter).astype(self.dtype)
+
+    def weights(self, words):
+        """Pair and Hamming weights of the columns of `words`."""
+        mask = words.reshape(self.N, self.d, -1).any(axis=1)
+        pair = mask | np.roll(mask, -1, axis=0)
+        return pair.sum(axis=0), mask.sum(axis=0)
+
+
+class _Planes:
+    """The words of p = 2: d digit planes of ceil(N/64) uint64 lanes, bit i
+    of plane e being digit e of position i, and adding is XOR.  The support
+    is the OR of the planes; the pair support is the support OR the
+    support rotated down one position (bit 0 of each lane moves to bit 63
+    of the lane before, position 0 to position N-1)."""
+
+    def __init__(self, code: ConstacyclicCode):
+        self.code, self.p = code, 2
+        N, d = code.ring.N, code.ring.base.gfp_dim
+        self.lanes, self.wrap = -(-N // 64), (N - 1) % 64
+        bits = np.zeros((code.dim_p, d, 64 * self.lanes), dtype=np.uint8)
+        bits[:, :, :N] = code.basis.reshape(-1, N, d).transpose(0, 2, 1) & 1
+        self.rows = np.packbits(bits, axis=-1, bitorder="little") \
+            .view("<u8").reshape(code.dim_p, d * self.lanes)
+
+    def add(self, words, word, out=None):
+        return np.bitwise_xor(words, word, out)
+
+    def word(self, counter: int) -> np.ndarray:
+        """XOR of the rows named by the bits of `counter`."""
+        bits = [t for t, b in enumerate(reversed(bin(counter))) if b == "1"]
+        return np.bitwise_xor.reduce(self.rows[bits], axis=0)
+
+    def weights(self, words):
+        """Pair and Hamming weights of the columns of `words`."""
+        planes = words.reshape(-1, self.lanes, words.shape[1])
+        support = planes[0]
+        for plane in planes[1:]:
+            support = support | plane
+        pair = support >> 1
+        if self.lanes > 1:
+            pair[:-1] |= support[1:] << 63
+        pair[-1] |= (support[0] & 1) << self.wrap
+        pair |= support
+        return self._count(pair), self._count(support)
+
+    def _count(self, lanes):
+        """Set bits per column.  numpy reduces over a short leading axis
+        slowly, so one lane is read as it is."""
+        bits = np.bitwise_count(lanes)
+        return bits[0] if self.lanes == 1 else bits.sum(axis=0)
+
+
+def _low_table(form, h: int) -> np.ndarray:
     """Column c is codeword c for c < p^h, built by additions."""
-    p = code.ring.p
-    low = np.zeros((code.ncols, p ** h), dtype=dtype)
-    for t, row in enumerate(code.basis[:h].astype(dtype)):
+    p = form.p
+    low = np.zeros((form.rows.shape[1], p ** h), dtype=form.rows.dtype)
+    for t, row in enumerate(form.rows[:h]):
         size = p ** t
         for a in range(1, p):
-            block = low[:, a * size:(a + 1) * size]
-            np.add(low[:, (a - 1) * size:a * size], row[:, None], out=block)
-            np.minimum(block, block - p, out=block)
+            form.add(low[:, (a - 1) * size:a * size], row[:, None],
+                     low[:, a * size:(a + 1) * size])
     return low
 
 
-def _blocks(code: ConstacyclicCode, low: np.ndarray, last: int):
+def _blocks(form, low: np.ndarray, last: int):
     """(first counter, words): the low table's counters from 1 up to last
     in one block, then the counters p^j..2p^j-1 up to last, p^j >= span."""
-    p, span = code.ring.p, low.shape[1]
+    p, span = form.p, low.shape[1]
     if last:
         yield 1, low[:, 1:min(span, last + 1)]
     lead = span
     while lead <= last:
         stop = min(2 * lead, last + 1)
         for first in range(lead, stop, span):
-            words = (low[:, :min(span, stop - first)]
-                     + code.coords_at(first).astype(low.dtype)[:, None])
-            yield first, np.minimum(words, words - p, out=words)
+            yield first, form.add(low[:, :min(span, stop - first)],
+                                  form.word(first)[:, None])
         lead *= p
 
 
@@ -171,14 +246,15 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
     """
     check_budget(budget)
     key = ("pairmetric.scan_minima", code.basis.tobytes(), budget)
-    return dict(code.ring.remember(key, lambda: _scan(code, budget)))
+    form = _Planes if code.ring.p == 2 else _Symbols
+    return dict(code.ring.remember(key, lambda: _scan(form(code), budget)))
 
 
-def _scan(code: ConstacyclicCode, budget: int) -> dict:
-    """`scan_minima` of a basis the ring has not scanned at this budget."""
-    ring = code.ring
-    p, dim = ring.p, code.dim_p
-    total = code.size
+def _scan(form, budget: int) -> dict:
+    """`scan_minima` of a basis the ring has not scanned at this budget,
+    its words held in `form`."""
+    code, p = form.code, form.p
+    dim, total = code.dim_p, code.size
     exhaustive = total <= budget
     last = total - 1 if exhaustive else budget
     out = {"min_pair": None, "pair_at": None,
@@ -187,13 +263,10 @@ def _scan(code: ConstacyclicCode, budget: int) -> dict:
     h = 1
     while h < dim and p ** h <= last and p ** (h + 1) <= _BLOCK:
         h += 1
-    low = _low_table(code, h, np.min_scalar_type(2 * (p - 1)))
-    for first, words in _blocks(code, low, last):
-        mask = words.reshape(ring.N, ring.base.gfp_dim, -1).any(axis=1)
-        pair_mask = mask | np.roll(mask, -1, axis=0)
-        for key_min, key_at, wts in (
-                ("min_pair", "pair_at", pair_mask.sum(axis=0)),
-                ("min_hamming", "hamming_at", mask.sum(axis=0))):
+    for first, words in _blocks(form, _low_table(form, h), last):
+        for key_min, key_at, wts in zip(("min_pair", "min_hamming"),
+                                        ("pair_at", "hamming_at"),
+                                        form.weights(words)):
             i = int(np.argmin(wts))
             if out[key_min] is None or wts[i] < out[key_min]:
                 out[key_min] = int(wts[i])

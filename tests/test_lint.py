@@ -120,6 +120,27 @@ def test_only_codes_names_the_code_families():
     assert found == []
 
 
+def test_the_oracle_reads_only_the_basis():
+    # The oracle checks the closed forms, so it must not learn a code's
+    # size or shape from them: nothing from theory, and none of the names
+    # that classify a code or enumerate the records.
+    classifying = {"_standard_exponents", "log_size", "_log_size",
+                   "generators", "all_code_specs"}
+    tree = ast.parse((SRC / "pairmetric.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] == "theory":
+            found.append(node.module)
+        names = ([alias.name for alias in node.names]
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) else
+                 [node.id] if isinstance(node, ast.Name) else
+                 [node.attr] if isinstance(node, ast.Attribute) else [])
+        found += [name for name in names
+                  if name.split(".")[-1] in classifying | {"theory"}]
+    assert found == []
+
+
 def test_every_dataclass_field_is_read():
     # A record field that nothing reads is dead state.  A field counts as
     # read when src loads it as an attribute or names it as a string key,

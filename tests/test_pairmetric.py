@@ -9,6 +9,7 @@ from paircodes.codes import (
     ConstacyclicCode,
     FieldPower,
     Type1,
+    all_code_specs,
     build_code,
     enumerate_codewords,
     word_coords,
@@ -262,9 +263,23 @@ def _leading_digit(counter, p):
     return counter
 
 
+def _coordinate_rows(block, ring):
+    """The columns of a block as GF(p) coordinate rows.  At p = 2 a column
+    holds d digit planes of uint64 lanes, bit i of plane e being digit e
+    of position i."""
+    if ring.p != 2:
+        return block.T.tolist()
+    N, d = ring.N, ring.base.gfp_dim
+    planes = np.ascontiguousarray(block.T, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(planes.reshape(block.shape[1], d, -1), axis=-1,
+                         bitorder="little")[:, :, :N]
+    return bits.transpose(0, 2, 1).reshape(-1, N * d).tolist()
+
+
 # p^h is the largest power of p within the kernel's 2^13-word block; every
-# code spans its low table p times, and p^(h+2) words for p = 2, so that a
-# segment p^j..2p^j-1 takes several blocks.
+# code spans its low table p times, and p^(h+2) words for p = 2 with one
+# lane, so that a segment p^j..2p^j-1 takes several blocks.  At p = 2 the
+# cases hold one and two 64-bit lanes per plane and one and two planes.
 @pytest.mark.parametrize("ring, spec", [
     (QuotientRing(Field(2, 1), 1, 4, 1), FieldPower(1)),
     (QuotientRing(Field(3, 1), 1, 3, 1), FieldPower(18)),
@@ -274,6 +289,8 @@ def _leading_digit(counter, p):
     (QuotientRing(Field(3, 1), 1, 2, 1, beta=1), ChainPrincipal(9)),
     (QuotientRing(Field(5, 1), 1, 1, 1, beta=1), ChainPrincipal(4)),
     (QuotientRing(Field(7, 1), 1, 1, 1, beta=1), ChainPrincipal(9)),
+    (QuotientRing(Field(2, 1), 1, 7, 1), FieldPower(114)),
+    (QuotientRing(Field(2, 2), 1, 3, 1), FieldPower(1)),
 ])
 def test_scan_matches_reference_walk(ring, spec, monkeypatch):
     built = build_code(ring, spec)
@@ -297,7 +314,8 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
 
     def recording_blocks(*args):
         for first, block in blocks(*args):
-            seen.extend(enumerate(block.T.tolist(), start=first))
+            seen.extend(enumerate(_coordinate_rows(block, ring),
+                                  start=first))
             yield first, block
 
     monkeypatch.setattr(pairmetric, "_blocks", recording_blocks)
@@ -321,6 +339,54 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
             want[key_min] = min(wts)
             want[key_at] = wts.index(want[key_min]) + 1
         assert scan_minima(code, budget) == want, budget
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_oracle_reads_the_basis_mod_p(p):
+    # A basis is any rows over GF(p); the kernel adds digits below p, so it
+    # reduces the rows first.  Entries 2p above the digits make the same
+    # code, with the same minima.  Each code gets its own ring, so neither
+    # scan is the other's remembered one.
+    code = build_code(QuotientRing(Field(p, 1), 1, 2, 1), FieldPower(2))
+    shifted = ConstacyclicCode(QuotientRing(Field(p, 1), 1, 2, 1),
+                               code.basis + 2 * p)
+    want = scan_minima(code)
+    assert want["min_pair"] == 4
+    assert scan_minima(shifted) == want
+    assert min_distance_brute(shifted).d_sp == 4
+
+
+def _both_forms(code, budget):
+    """`_scan` of the code's words as bit planes, then as symbols."""
+    return (pairmetric._scan(pairmetric._Planes(code), budget),
+            pairmetric._scan(pairmetric._Symbols(code), budget))
+
+
+def test_bit_planes_scan_like_one_symbol_per_coordinate():
+    # Every nonzero code of chain GF(2), s = 4, beta = 0 (two planes of one
+    # lane), at budgets below, inside and past its low tables.
+    ring = QuotientRing(Field(2, 1), 1, 4, 1, beta=0)
+    bases = {}
+    for spec in all_code_specs(ring):
+        code = build_code(ring, spec)
+        if code.dim_p:
+            bases.setdefault(code.basis.tobytes(), code)
+    assert len(bases) > 100
+    for code in bases.values():
+        for budget in (1, 7, 1 << 10):
+            planes, symbols = _both_forms(code, budget)
+            assert planes == symbols, (code, budget)
+    # Two planes of two lanes, N = 96 wrapping inside its second lane; four
+    # planes (chain GF(4)); and a code of 2^21 words, one plane of one lane.
+    wide = build_code(QuotientRing(Field(2, 2), 3, 5, 2), FieldPower(29))
+    deep = build_code(QuotientRing(Field(2, 2), 1, 3, 1, beta=1),
+                      ChainPrincipal(9))
+    large = build_code(QuotientRing(Field(2, 1), 1, 5, 1), FieldPower(11))
+    for code, budget in [(wide, 1 << 13), (wide, 100_000), (wide, 1 << 18),
+                         (deep, 1 << 14), (large, 1 << 21)]:
+        planes, symbols = _both_forms(code, budget)
+        assert planes == symbols, (code, budget)
+        assert scan_minima(code, budget) == planes
 
 
 def test_scan_minima_returns_a_fresh_dict_each_call():
