@@ -15,7 +15,6 @@ from .quotient import (
     QuotientRing,
     binomial_power,
     coefficient_weight,
-    consta_shift,
     qmul,
 )
 from .codes import (
@@ -29,7 +28,6 @@ from .codes import (
     Type3,
     all_code_specs,
     build_code,
-    enumerate_codewords,
     generators,
     ideal_code,
     log_size,

@@ -35,13 +35,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (
     BetaMismatch,
-    BudgetExceeded,
     ConstraintViolation,
     ConstructionRefused,
     InvalidValue,
@@ -680,25 +679,6 @@ def _standard_basis(ring: QuotientRing, spec: CodeSpec,
             f"the standard form of {spec_to_text(spec)} does not reduce to "
             "the ideal of its generators")
     return R
-
-
-def enumerate_codewords(code: ConstacyclicCode,
-                        budget: int = DEFAULT_BUDGET) -> Iterator[QPoly]:
-    """Yield every codeword exactly once, or raise BudgetExceeded up front.
-
-    Order: mixed-radix counters over the basis rows, least significant row
-    first; counter 0 is the zero word.
-    """
-    check_budget(budget)
-    if code.size > budget:
-        raise BudgetExceeded(
-            f"{code.size} codewords exceed the budget of {budget}")
-    return (code.word_at(counter) for counter in range(code.size))
-
-
-def consta_shift_matrix(ring: QuotientRing) -> np.ndarray:
-    """Matrix S with coords(x * w) = coords(w) @ S (mod p)."""
-    return _multiples(ring, ring.monomial(1))
 
 
 def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:

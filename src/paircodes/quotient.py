@@ -122,13 +122,6 @@ class QuotientRing:
         cs[j] = 1
         return QPoly(self, tuple(cs))
 
-    def radical(self) -> "QPoly":
-        """The binomial x^n - alpha0, embedded in the quotient."""
-        cs = [0] * self.N
-        cs[0] = self.field.neg(self.alpha0)
-        cs[self.n] = 1
-        return QPoly(self, tuple(cs))
-
     def lift(self, f: "QPoly", g: "QPoly") -> "QPoly":
         """f + u*g in the two-component quotient, for polynomials f and g
         over the companion field quotient."""
@@ -188,10 +181,6 @@ class QPoly:
         return QPoly(self.ring, tuple(
             base.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        self._check(other)
-        return qmul(self, other)
-
     def scalar_mul(self, c: int) -> "QPoly":
         base = self.ring.base
         return QPoly(self.ring, tuple(base.mul(c, a) for a in self.coeffs))
@@ -201,13 +190,6 @@ class QPoly:
 
     def support(self) -> list[int]:
         return [i for i, c in enumerate(self.coeffs) if c != 0]
-
-    def degree(self) -> int:
-        """Degree of the canonical representative; -1 for the zero residue."""
-        for i in range(self.ring.N - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QPoly) and self.ring == other.ring
@@ -238,13 +220,6 @@ def qmul(f: QPoly, g: QPoly) -> QPoly:
         if buf[t]:
             buf[t - N] = add(buf[t - N], mul(lam, buf[t]))
     return QPoly(ring, tuple(buf[:N]))
-
-
-def consta_shift(f: QPoly) -> QPoly:
-    """Multiply by x: (v_0,...,v_{N-1}) -> (lam*v_{N-1}, v_0, ..., v_{N-2})."""
-    ring = f.ring
-    head = ring.base.mul(ring.lam, f.coeffs[-1])
-    return QPoly(ring, (head,) + f.coeffs[:-1])
 
 
 def binomial_power(ring: QuotientRing, i: int) -> QPoly:

@@ -20,10 +20,10 @@ from paircodes.codes import (
     Type1,
     Type2,
     Type3,
+    _multiples,
     _standard_exponents,
     all_code_specs,
     build_code,
-    consta_shift_matrix,
     ideal_code,
     log_size,
     random_unit,
@@ -360,7 +360,7 @@ def test_criterion_8_structural_invariants_hold_for_every_code():
         ps = ring.p ** ring.s
         # float64 products are exact here: entries are below p <= 5 and a
         # sum has at most N*d = 150 terms, far below 2^53
-        S = consta_shift_matrix(ring).astype(np.float64)
+        S = _multiples(ring, ring.monomial(1)).astype(np.float64)
         prev = None
         for i in range(ps + 1):
             spec = FieldPower(i)

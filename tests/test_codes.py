@@ -13,8 +13,6 @@ from paircodes.codes import (
     Type2,
     Type3,
     build_code,
-    consta_shift_matrix,
-    enumerate_codewords,
     generators,
     log_size,
     random_unit,
@@ -28,7 +26,6 @@ from paircodes.codes import (
 )
 from paircodes.errors import (
     BetaMismatch,
-    BudgetExceeded,
     ConstraintViolation,
     ConstructionRefused,
     InvalidValue,
@@ -41,7 +38,7 @@ from paircodes.galois import (
     binomial_irreducible,
     irreducible_binomial_constants,
 )
-from paircodes.quotient import QuotientRing, binomial_power, consta_shift, qmul
+from paircodes.quotient import QuotientRing, binomial_power, qmul
 from paircodes.theory import all_code_specs
 from test_acceptance import grid_rings
 
@@ -115,25 +112,13 @@ def test_contains_checks_ring():
 def test_enumeration_is_complete_and_distinct():
     ring = QuotientRing(F3, 2, 1, 2)
     code = build_code(ring, FieldPower(1))         # 81 words
-    words = list(enumerate_codewords(code, budget=100))
+    words = [code.word_at(c) for c in range(code.size)]
     assert len(words) == 81
     assert len({w.coeffs for w in words}) == 81
     assert all(code.contains(w) for w in words)
-    shifted_ok = all(code.contains(consta_shift(w)) for w in words)
+    x = ring.monomial(1)
+    shifted_ok = all(code.contains(qmul(x, w)) for w in words)
     assert shifted_ok
-
-
-def test_enumeration_budget():
-    ring = QuotientRing(F3, 2, 1, 2)
-    code = build_code(ring, FieldPower(1))
-    with pytest.raises(BudgetExceeded):
-        enumerate_codewords(code, budget=80)
-    # BudgetExceeded must fire before any word is produced
-    gen = None
-    try:
-        gen = enumerate_codewords(code, budget=80)
-    except BudgetExceeded:
-        assert gen is None
 
 
 def test_full_space_and_zero_code():
@@ -142,7 +127,7 @@ def test_full_space_and_zero_code():
     assert full.dim_p == 4 and full.size == 16
     zero = build_code(ring, FieldPower(4))
     assert zero.dim_p == 0 and zero.size == 1
-    words = list(enumerate_codewords(zero, budget=2))
+    words = [zero.word_at(c) for c in range(zero.size)]
     assert len(words) == 1 and words[0].is_zero()
 
 
@@ -153,7 +138,7 @@ def test_chain_high_powers_are_u_times_field_code():
     for r in range(5):
         code = build_code(ring, ChainPrincipal(4 + r))
         fcode = build_code(fq, FieldPower(r))
-        for w in enumerate_codewords(code, budget=1 << 10):
+        for w in map(code.word_at, range(code.size)):
             assert all(ring.base.a_of(c) == 0 for c in w.coeffs)
             proj = fq.poly([ring.base.b_of(c) for c in w.coeffs])
             assert fcode.contains(proj)
@@ -646,12 +631,13 @@ def _reference_coords(w):
 def _reference_ideal_rows(ring, gens):
     """Every scalar multiple of every shift, built in the quotient."""
     rows = [np.zeros(ring.N * ring.base.gfp_dim, dtype=np.int64)]
+    x = ring.monomial(1)
     for g in gens:
         w = g
         for _ in range(ring.N):
             for e in _reference_scalars(ring):
                 rows.append(_reference_coords(w.scalar_mul(e)))
-            w = consta_shift(w)
+            w = qmul(x, w)
     return np.array(rows)
 
 
@@ -692,14 +678,15 @@ def test_ideal_code_matches_qpoly_reference():
 def test_consta_shift_matrix_agrees_with_shift():
     rng = random.Random(3)
     for ring in _small_rings() + list(grid_rings()):
-        S = consta_shift_matrix(ring)
+        x = ring.monomial(1)
+        S = codes._multiples(ring, x)
         size = ring.base.size if ring.is_chain else ring.field.q
         for _ in range(20):
             w = ring.poly([rng.randrange(size) for _ in range(ring.N)])
             coords = _reference_coords(w)
             assert np.array_equal(word_coords(w), coords), ring
             lhs = (coords @ S) % ring.p
-            rhs = _reference_coords(consta_shift(w))
+            rhs = _reference_coords(qmul(x, w))
             assert np.array_equal(lhs, rhs), ring
 
 
@@ -750,11 +737,11 @@ def test_same_rowspace_on_different_generating_sets():
     for _ in range(5):
         unit = random_unit(ring, rng)
         rows = []
-        w = qmul(g, unit)
+        w, x = qmul(g, unit), ring.monomial(1)
         for _ in range(ring.N):
             for e in _reference_scalars(ring):
                 rows.append(word_coords(w.scalar_mul(e)))
-            w = consta_shift(w)
+            w = qmul(x, w)
         other = ConstacyclicCode(ring, rref_mod_p(np.array(rows), ring.p))
         assert base_code.same_rowspace(other)
 
@@ -769,7 +756,8 @@ def test_membership_and_equality_hold_for_any_basis():
     code = ConstacyclicCode(
         ring, ((mix + np.eye(dim, dtype=np.int64)) @ built.basis) % p)
     assert not np.array_equal(code.basis, built.basis)
-    words = np.array([word_coords(w) for w in enumerate_codewords(code)])
+    words = np.array([word_coords(code.word_at(c))
+                      for c in range(code.size)])
     assert len(words) == code.size == 729
     assert code.contains_batch(words).all()
     assert all(code.contains(w) for w in generators(ring, FieldPower(3)))

@@ -17,7 +17,6 @@ from paircodes.quotient import (
     QuotientRing,
     binomial_power,
     coefficient_weight,
-    consta_shift,
     qmul,
 )
 
@@ -97,9 +96,9 @@ def test_quotient_parameters():
 
 def test_x_to_the_N_wraps_to_lambda():
     for ring in _rings():
-        w = ring.one()
+        x, w = ring.monomial(1), ring.one()
         for _ in range(ring.N):
-            w = consta_shift(w)
+            w = qmul(x, w)
         expect = list(ring.zero().coeffs)
         expect[0] = ring.lam
         assert w.coeffs == tuple(expect)
@@ -113,15 +112,6 @@ def test_monomial_refuses_exponents_outside_the_quotient():
     for j in (3, -1, 7):
         with pytest.raises(ExponentOutOfRange):
             ring.monomial(j)
-
-
-def test_consta_shift_is_multiplication_by_x():
-    rng = random.Random(0)
-    for ring in _rings():
-        x = ring.monomial(1)
-        for _ in range(20):
-            w = _rand_poly(ring, rng)
-            assert consta_shift(w) == qmul(x, w)
 
 
 def test_qmul_ring_axioms_random():
@@ -154,10 +144,12 @@ def test_binomial_power_matches_repeated_multiplication():
             QuotientRing(f9, 2, 2, f9.parse_element("2,1"),
                          beta=f9.parse_element("1,2"))]:
         top = ring.p ** ring.s * (2 if ring.is_chain else 1)
-        acc = ring.one()
+        cs = [0] * ring.N
+        cs[0], cs[ring.n] = ring.field.neg(ring.alpha0), 1
+        a, acc = ring.poly(cs), ring.one()         # a = x^n - alpha0
         for i in range(top + 1):
             assert binomial_power(ring, i) == acc
-            acc = qmul(acc, ring.radical())
+            acc = qmul(acc, a)
 
 
 def test_binomial_power_nilpotency():
@@ -206,7 +198,7 @@ def test_frobenius_splits_binomial_powers():
 def test_coefficient_weight():
     ring = QuotientRing(Field(3, 1), 2, 1, 2)
     assert coefficient_weight(ring.monomial(4)) == 0
-    assert coefficient_weight(ring.radical()) == 2
+    assert coefficient_weight(binomial_power(ring, 1)) == 2
     assert coefficient_weight(binomial_power(ring, 2)) == 2
     assert coefficient_weight(ring.poly([1, 0, 0, 1, 0, 1])) == 2
     with pytest.raises(ZeroPolynomial):
@@ -236,7 +228,7 @@ def test_weight_product_rule():
         if cw < 2:
             continue
         dg = rng.randrange(0, cw - 1)              # deg(g) <= cw - 2
-        if f.degree() + dg > ring.N - 2:
+        if max(f.support(), default=-1) + dg > ring.N - 2:
             continue
         gcs = [rng.randrange(3) for _ in range(dg)] + [rng.randrange(1, 3)]
         g = ring.poly(gcs + [0] * (ring.N - dg - 1))
