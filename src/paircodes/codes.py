@@ -122,7 +122,10 @@ _CHAIN_CODES = {ChainPrincipal: (("i", lambda ps: (0, 2 * ps)),)}
 _BETA0_CODES = {
     Type1: (("k", lambda ps: (0, ps)),),
     Type2: (("k", lambda ps: (0, ps - 1)),
-            ("j", lambda ps, k: (-(-(ps + k) // 2), ps - 1))),
+            # j = p^s only at k = p^s - 1, where the head is u a^(p^s-1)
+            # for every b: the minimal ideal, which no other record gives.
+            ("j", lambda ps, k: (-(-(ps + k) // 2),
+                                 ps if k == ps - 1 else ps - 1))),
     Type3: (("k", lambda ps: (0, ps - 2)),
             ("t", lambda ps, k: (1, ps - k - 1)),
             ("j", lambda ps, k, t: (k + -(-t // 2), k + t))),

@@ -6,6 +6,8 @@ enumeration oracle (`min_distance_brute` / `scan_minima`) is the only
 source of "actual" distances, never the closed forms under test.
 """
 
+import dataclasses
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -16,6 +18,7 @@ import pytest
 from paircodes import theory
 from paircodes.codes import (
     ChainPrincipal,
+    ConstacyclicCode,
     FieldPower,
     Type1,
     Type2,
@@ -24,12 +27,15 @@ from paircodes.codes import (
     _standard_exponents,
     all_code_specs,
     build_code,
+    generators,
     ideal_code,
     log_size,
     random_unit,
+    rref_mod_p,
     spec_from_text,
     spec_to_text,
     unit_inverse,
+    unit_kind,
 )
 from paircodes.galois import Field, irreducible_binomial_constants
 from paircodes.pairmetric import (
@@ -37,6 +43,7 @@ from paircodes.pairmetric import (
     hamming_weight,
     min_distance_brute,
     pair_distance,
+    scan_minima,
 )
 from paircodes.quotient import QuotientRing, binomial_power, qmul
 from paircodes.theory import (
@@ -44,6 +51,7 @@ from paircodes.theory import (
     consistency_scan,
     exponent_interval,
     mds_classify,
+    mds_verdict,
     min_pair_distance_field,
 )
 
@@ -224,6 +232,72 @@ def test_a_fault_planted_in_one_rule_fails_exactly_its_entries(
             assert entry.oracle_hamming == entry.formula_hamming
         failed += len(report.mismatches)
     assert failed > 0
+
+
+def _ideal_lattice(ring) -> dict:
+    """Every ideal of `ring`, keyed by the bytes of its reduced basis: the
+    principal ideals, closed under sums (their stacked bases, reduced)."""
+    size = ring.base.size if ring.is_chain else ring.field.q
+    ideals = {}
+    for coeffs in itertools.product(range(size), repeat=ring.N):
+        basis = ideal_code(ring, [ring.poly(coeffs)]).basis
+        ideals[basis.tobytes()] = basis
+    grown = True
+    while grown:
+        grown = False
+        for a, b in itertools.combinations(list(ideals.values()), 2):
+            basis = rref_mod_p(np.concatenate([a, b]), ring.p)
+            grown |= ideals.setdefault(basis.tobytes(), basis) is basis
+    return ideals
+
+
+def _records_over_every_unit(ring) -> list:
+    """`all_code_specs` with the b of each Type2/Type3 row run over zero
+    and every unit of the field quotient."""
+    fq = ring.field_quotient()
+    bs = [fq.poly(cs) for cs in itertools.product(range(fq.field.q),
+                                                  repeat=fq.N)]
+    bs = [b for b in bs if unit_kind(fq, b) != "neither"]
+    records = {}
+    for spec in all_code_specs(ring):
+        for b in (bs if hasattr(spec, "b") else [None]):
+            spec = spec if b is None else dataclasses.replace(spec, b=b)
+            records[spec_to_text(spec)] = spec
+    return list(records.values())
+
+
+@pytest.mark.parametrize("p, m, s, beta, count", [
+    (2, 1, 1, 0, 7), (2, 1, 2, 0, 23), (3, 1, 1, 0, 16), (2, 2, 1, 0, 9),
+    (2, 1, 2, 1, 9), (3, 1, 1, 1, 7), (3, 1, 1, 2, 7), (2, 1, 3, None, 9)])
+def test_every_ideal_is_a_record_and_the_mds_sets_agree(p, m, s, beta,
+                                                        count):
+    # The completeness the paper's classification rests on (Dinh,
+    # J. Algebra 324 (2010)): on rings of at most 4,096 elements, the
+    # records' codes are exactly the ideals, built here from the literal
+    # generators by elimination alone, and the oracle's MDS ideals are
+    # exactly the closed form's.
+    ring = QuotientRing(Field(p, m), 1, s, 1, beta)
+    ideals = _ideal_lattice(ring)
+    assert len(ideals) == count
+    coded, formula_mds = {}, set()
+    for spec in _records_over_every_unit(ring):
+        key = ideal_code(ring, generators(ring, spec)).basis.tobytes()
+        coded.setdefault(key, spec_to_text(spec))
+        verdict = mds_verdict(ring, spec)
+        if verdict.is_mds and not verdict.trivial:
+            formula_mds.add(key)
+    assert set(coded) <= set(ideals)
+    # The dimensions of the ideals that no record gives.
+    assert set(ideals) <= set(coded), \
+        sorted(len(ideals[key]) for key in set(ideals) - set(coded))
+    full = ring.N * ring.base.gfp_dim
+    oracle_mds = set()
+    for key, basis in ideals.items():
+        if 0 < len(basis) < full:
+            d = scan_minima(ConstacyclicCode(ring, basis))["min_pair"]
+            if (ring.N - d + 2) * ring.base.gfp_dim == len(basis):
+                oracle_mds.add(key)
+    assert oracle_mds == formula_mds
 
 
 def test_criterion_2_chain_example_length9_pair_distance_4_not_9():

@@ -221,6 +221,7 @@ def _reference_specs(ring, rng):
     for k in range(ps):
         for j in range(-(-(ps + k) // 2), ps):
             out += [Type2(j, k, b) for b in bs]
+    out += [Type2(ps, ps - 1, b) for b in bs]      # <u a^(p^s-1)>
     for k in range(ps - 1):
         for t in range(1, ps - k):
             for j in range(k + (-(-t // 2)), k + t + 1):
@@ -904,7 +905,7 @@ def test_build_code_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(codes, "rref_mod_p", refused)
     ring = QuotientRing(F2, 1, 4, 1, beta=0)
     specs = all_code_specs(ring, rng=random.Random(1))
-    assert len(specs) == 1985
+    assert len(specs) == 1989
     for spec in specs:
         assert build_code(ring, spec).dim_p == log_size(ring, spec)
 

@@ -239,9 +239,9 @@ def test_all_code_specs_cover_beta_zero_families():
     specs = all_code_specs(ring, rng=rng)
     kinds = {type(s).__name__ for s in specs}
     assert kinds == {"Type1", "Type2", "Type3"}
-    # Type2 range: k in [0,3], j in [ceil((4+k)/2), 3]
+    # Type2 range: k in [0,3], j in [ceil((4+k)/2), 3], and (j, k) = (4, 3)
     t2 = [(s.j, s.k) for s in specs if isinstance(s, Type2)]
-    assert set(t2) == {(2, 0), (3, 0), (3, 1), (3, 2)}
+    assert set(t2) == {(2, 0), (3, 0), (3, 1), (3, 2), (4, 3)}
     t3 = [(s.j, s.k, s.t) for s in specs if isinstance(s, Type3)]
     assert (1, 0, 2) in t3 and (3, 2, 1) in t3
     for j, k, t in t3:
