@@ -281,7 +281,8 @@ def min_distance_brute(code: ConstacyclicCode,
     Linear codes make minimum distance equal minimum nonzero weight, so the
     scan walks codewords, not codeword pairs.  Exceeding the budget degrades
     the answer to an upper bound (never a wrong exact claim).  The zero
-    code reports distance 0.
+    code reports distance 0.  The witness is weighed once, here, and a
+    weight that differs from the scan's minimum raises VerificationMismatch.
     """
     check_budget(budget)
     if code.dim_p == 0:
@@ -289,12 +290,15 @@ def min_distance_brute(code: ConstacyclicCode,
                               method="exhaustive", witness=None)
     res = scan_minima(code, budget)
     w = code.word_at(res["pair_at"])
-    d_h = hamming_weight(w)
-    d_p = pair_weight(w)
-    L = None
-    if 0 < d_h < code.ring.N:
-        zero = code.ring.zero()
-        _, L, _ = block_decomposition(w, zero)
+    d_h, L = hamming_weight(w), None
+    if d_h < code.ring.N:           # a nonzero codeword has d_h > 0
+        _, L, d_p = block_decomposition(w, code.ring.zero())
+    else:
+        d_p = pair_weight(w)
+    if d_p != res["min_pair"]:
+        raise VerificationMismatch(
+            f"the scan's minimum pair weight {res['min_pair']} != {d_p}, "
+            "the pair weight of its witness")
     return DistanceReport(
         d_sp=d_p,
         d_H=d_h,

@@ -96,6 +96,24 @@ def test_distance_chain_counterexample(capsys):
     assert row["match"] is True and row["formula"]["d_sp"] == 4
 
 
+def test_distance_both_mismatch_exits_3(monkeypatch, capsys):
+    # A closed form one above the enumerated distance: the envelope still
+    # shows both blocks, and the error line names the mismatch.
+    real = cli.min_pair_distance
+    monkeypatch.setattr(cli, "min_pair_distance",
+                        lambda ring, spec: real(ring, spec) + 1)
+    code, out, err = run_cli(
+        ["distance", *FIELD_RING, "--spec", "field-power:i=2"], capsys)
+    assert code == 3
+    row = json.loads(out)["results"][0]
+    assert row["match"] is False
+    assert row["formula"]["d_sp"] == 7 and row["brute"]["d_sp"] == 6
+    assert row["brute"]["method"] == "exhaustive"
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "VerificationMismatch"
+
+
 CHAIN_B1 = ["--p", "3", "--s", "2", "--n", "1", "--alpha0", "1", "--beta", "1"]
 
 

@@ -143,6 +143,24 @@ def test_upper_bound_at_high_dimension_is_a_real_codeword():
     assert pair_weight(rep.witness) == rep.d_sp
 
 
+@pytest.mark.parametrize("form, p", [("_Symbols", 3), ("_Planes", 2)])
+def test_min_distance_brute_checks_the_scan_against_its_witness(
+        form, p, monkeypatch):
+    # A kernel that under-weighs every pair support by one must not yield
+    # an exhaustive distance: its witness, weighed once, disagrees.
+    cls = getattr(pairmetric, form)
+    real = cls.weights
+
+    def under(self, words):
+        pair, hamming = real(self, words)
+        return pair - 1, hamming
+
+    monkeypatch.setattr(cls, "weights", under)
+    code = build_code(QuotientRing(Field(p, 1), 1, 2, 1), FieldPower(1))
+    with pytest.raises(VerificationMismatch):
+        min_distance_brute(code)
+
+
 @pytest.mark.parametrize("budget", [0, -1, -4096])
 def test_budget_below_one_is_refused(budget):
     ring = QuotientRing(Field(3, 1), 2, 1, 2)
