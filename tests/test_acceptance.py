@@ -261,8 +261,8 @@ def _records_over_every_unit(ring) -> list:
     records = {}
     for spec in all_code_specs(ring):
         for b in (bs if hasattr(spec, "b") else [None]):
-            spec = spec if b is None else dataclasses.replace(spec, b=b)
-            records[spec_to_text(spec)] = spec
+            record = spec if b is None else dataclasses.replace(spec, b=b)
+            records[spec_to_text(record)] = record
     return list(records.values())
 
 

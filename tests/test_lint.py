@@ -1,11 +1,10 @@
 import ast
-import importlib.util
 from pathlib import Path
 
 import paircodes
+from test_bench_targets import load_spans
 
 SRC = Path(paircodes.__file__).parent
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_no_assert_statements_in_package():
@@ -99,25 +98,18 @@ PUBLIC_WITHOUT_SRC_CALLER = {
 
 def test_public_names_without_a_src_caller_are_listed():
     # A public function or method that no src module calls is either a
-    # deliberate reference or tool (listed above) or dead.  __init__ only
-    # re-exports.  A local variable or an argument that shares a method's
-    # name is no call of it.
+    # deliberate reference or tool (listed above, each with its reason) or
+    # dead.  __init__ only re-exports.  A local variable or an argument that
+    # shares a method's name is no call of it.
     uncalled = {qual for qual in _uncalled({"__init__.py"})
                 if not qual.rpartition(".")[2].startswith("_")}
     assert uncalled == set(PUBLIC_WITHOUT_SRC_CALLER)
     reasons = {PAPER_LEMMA, REFERENCE, ROW_SPACE_TOOL, WRAPPED}
     assert set(PUBLIC_WITHOUT_SRC_CALLER.values()) <= reasons
-
-
-def test_names_kept_for_the_benchmark_are_wrapped_by_it():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     wrapped = {f"{module.rpartition('.')[2]}.{attr}"
-               for module, attr, _ in spans.TARGETS}
-    kept = {qual for qual, why in PUBLIC_WITHOUT_SRC_CALLER.items()
-            if why == WRAPPED}
-    assert kept and kept <= wrapped, kept - wrapped
+               for module, attr, _ in load_spans().TARGETS}
+    assert {qual for qual, why in PUBLIC_WITHOUT_SRC_CALLER.items()
+            if why == WRAPPED} <= wrapped
 
 
 def test_only_codes_names_the_code_families():
