@@ -57,6 +57,10 @@ DEFAULT_BUDGET = 1 << 21
 # that size: 3-6 s and 25-35 MB of arrays at 2^10 columns on a 2-core VM,
 # eight times the time and four times the memory per doubling.
 MAX_COLUMNS = 1 << 10
+# The most records `all_code_specs` lists for one ring.  A sweep validates,
+# classifies or builds each record in Python; the heaviest ring the CLI
+# benchmark tables has 6,742, and chain p=2, s=7, beta=0 would have 739,845.
+MAX_RECORDS = 1 << 17
 
 
 def check_budget(budget: int) -> None:
@@ -205,20 +209,32 @@ def all_code_specs(ring: QuotientRing, *,
     For the families with a free polynomial b, the zero choice is always
     included plus three random units drawn from `rng` (seeded
     deterministically when omitted); b varies fastest.
+
+    A ring with more than `MAX_RECORDS` records is refused before a key
+    level over the ceiling is built.  A level has sum(hi - lo + 1) rows
+    over the rows of the level above it, four records each in a family
+    with b; no range is empty, so no level has fewer rows than the one
+    above it, and the count is exact.
     """
     ps = ring.p ** ring.s
     bs = None
     out: list[CodeSpec] = []
     for family, ranges in _admitted(ring).items():
+        per_row = 4 if "b" in _FIELDS[family] else 1     # b = 0, 3 units
         rows = [()]
         for _, bounds in ranges:     # nested loops, the last key fastest
-            rows = [row + (value,) for row in rows
-                    for lo, hi in [bounds(ps, *row)]
+            spans = [(row, bounds(ps, *row)) for row in rows]
+            count = per_row * sum(hi - lo + 1 for _, (lo, hi) in spans)
+            if len(out) + count > MAX_RECORDS:
+                raise ConstructionRefused(
+                    f"a ring is enumerated with at most {MAX_RECORDS} "
+                    f"records; {ring!r} has more")
+            rows = [row + (value,) for row, (lo, hi) in spans
                     for value in range(lo, hi + 1)]
         keys = [key for key, _ in ranges]
         for row in rows:
             named = dict(zip(keys, row))
-            if "b" not in _FIELDS[family]:
+            if per_row == 1:
                 out.append(family(**named))
                 continue
             if bs is None:
@@ -315,29 +331,6 @@ def word_coords(w: QPoly) -> np.ndarray:
     return _digits_of(w.ring).of(w).reshape(-1)
 
 
-def _multiples(ring: QuotientRing, g: QPoly) -> np.ndarray:
-    """The (N*d) x (N*d) matrix M with coords(f * g) = coords(f) @ M (mod p).
-
-    Row t*d + e is coords(p^e * x^t * g): the encoded int p^e is the e-th
-    GF(p)-basis element of the coefficient ring.  The d basis multiples of
-    g give a (d, N, d) digit array W.  Multiplying by x^t moves position j
-    to j + t and multiplies the t positions that wrap past N - 1 by lam, so
-    it is positions N - t .. 2N - t - 1 of [W @ L, W] along the position
-    axis, where L is the d x d block of multiplication by lam; one gather
-    takes all N shifts.
-    """
-    if g.ring != ring:
-        raise RingMismatch("generator lives in a different quotient")
-    base, p, N, d = ring.base, ring.p, ring.N, ring.base.gfp_dim
-    dig = _digits_of(ring)
-    scalars = dig.place.tolist()
-    lam = dig.digits([base.mul(ring.lam, e) for e in scalars])
-    W = dig.digits([[base.mul(e, c) for c in g.coeffs] for e in scalars])
-    both = np.concatenate([W @ lam % p, W], axis=1)
-    shifts = N - np.arange(N)[:, None] + np.arange(N)
-    return both[:, shifts].transpose(1, 0, 2, 3).reshape(N * d, N * d)
-
-
 class ConstacyclicCode:
     """An ideal of the quotient: the GF(p) row space of the independent rows
     `basis`.  Words follow `basis` as given; membership and equality do not."""
@@ -417,12 +410,19 @@ def ideal_code(ring: QuotientRing,
                gens: Sequence[QPoly]) -> ConstacyclicCode:
     """The ideal generated by arbitrary elements, as a row-reduced basis.
 
-    The ideal is spanned over GF(p) by the rows of the multiplication
-    matrices of its generators; one RREF reduces them all.
+    The ideal is spanned over GF(p) by y^e x^t g for every generator g,
+    t < N and e < m, and over the two-component ring also by u times
+    those.  The build's digit layer forms them, and one RREF reduces them
+    all; the standard form is never read.
     """
-    rows = ([np.zeros((0, ring.N * ring.base.gfp_dim), dtype=np.int64)]
-            + [_multiples(ring, g) for g in gens])
-    return ConstacyclicCode(ring, rref_mod_p(np.concatenate(rows), ring.p))
+    if any(g.ring != ring for g in gens):
+        raise RingMismatch("generator lives in a different quotient")
+    dig, N, d = _digits_of(ring), ring.N, ring.base.gfp_dim
+    G = dig.of(*gens).reshape(len(gens), N, d)      # (0, N, d) with no gens
+    S = dig.shifts(G, N).reshape(-1, N, d)
+    if ring.is_chain:
+        S = np.concatenate([S, dig.times_u(S)])
+    return ConstacyclicCode(ring, rref_mod_p(dig.basis_multiples(S), ring.p))
 
 
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
@@ -569,12 +569,12 @@ def _standard_pair(ring: QuotientRing, spec: CodeSpec, dig: _Digits,
     if isinstance(spec, Type1):
         return np.concatenate([lits, dig.times_u(lits)])
     if isinstance(spec, ChainPrincipal):         # a^(p^s) = u beta here
-        to_u = ring.field.pow(ring.beta, -1)
+        to_u = [ring.field.pow(ring.beta, -1)]
         if spec.i > ps:
-            return np.concatenate([zero, dig.times(
-                lits, dig.digits([[[to_u]]]))])
-        F = dig.of(binomial_power(ring, ps - spec.i).scalar_mul(to_u))
-        return np.concatenate([lits, dig.times(lits, F[None])])
+            return np.concatenate([zero, dig.scale(lits, to_u)])
+        F = dig.of(binomial_power(ring, ps - spec.i))
+        return np.concatenate([lits, dig.scale(dig.times(lits, F[None]),
+                                               to_u)])
     if spec.b.is_zero():        # <u a^k>, and a^(k+t) after it in Type3
         return lits[::-1] if isinstance(spec, Type3) else \
             np.concatenate([zero, lits])

@@ -142,9 +142,8 @@ def _is_irreducible_poly(f: Sequence[int], p: int) -> bool:
     if powers[m] != x:
         return False
     for r in prime_factors(m):
+        # Never a constant: its p^(m - m/r)-th power x^(p^m) is x mod f.
         diff = list(powers[m // r])
-        while len(diff) < 2:
-            diff.append(0)
         diff[1] = (diff[1] - 1) % p
         if len(_pgcd(diff, f, p)) > 1:
             return False

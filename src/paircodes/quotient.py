@@ -181,10 +181,6 @@ class QPoly:
         return QPoly(self.ring, tuple(
             base.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scalar_mul(self, c: int) -> "QPoly":
-        base = self.ring.base
-        return QPoly(self.ring, tuple(base.mul(c, a) for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 

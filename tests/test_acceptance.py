@@ -23,7 +23,7 @@ from paircodes.codes import (
     Type1,
     Type2,
     Type3,
-    _multiples,
+    _digits_of,
     _standard_exponents,
     all_code_specs,
     build_code,
@@ -432,21 +432,22 @@ def test_criterion_8_structural_invariants_hold_for_every_code():
     nrng = np.random.default_rng(2024)
     for ring in grid_rings():
         ps = ring.p ** ring.s
-        # float64 products are exact here: entries are below p <= 5 and a
-        # sum has at most N*d = 150 terms, far below 2^53
-        S = _multiples(ring, ring.monomial(1)).astype(np.float64)
+        dig = _digits_of(ring)
         prev = None
         for i in range(ps + 1):
             spec = FieldPower(i)
             code = build_code(ring, spec)
             assert code.dim_p == log_size(ring, spec)
             if code.dim_p:
+                # float64 products are exact here: entries are below p <= 5
+                # and a sum has at most N*d = 150 terms, far below 2^53
                 digits = nrng.integers(0, ring.p,
                                        size=(1000, code.dim_p))
                 words = (digits.astype(np.float64) @ code.basis) % ring.p
             else:
                 words = np.zeros((1000, code.ncols))
-            shifted = (words @ S) % ring.p
+            words = words.astype(np.int64).reshape(1000, ring.N, -1)
+            shifted = dig.shifts(words, 2)[:, 1].reshape(1000, -1)  # x words
             assert bool(code.contains_batch(shifted).all()), (ring, i)
             if i < ps:     # the zero code reports 0 by convention
                 d = min_pair_distance_field(ring.n, ring.p, ring.s, i)[0]

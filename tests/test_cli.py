@@ -474,3 +474,22 @@ def test_a_ring_over_the_column_ceiling_is_refused_before_any_work():
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == \
             "ConstructionRefused"
+
+
+def test_a_ring_over_the_record_ceiling_is_refused_before_any_work():
+    # 2^30 + 1 field records, and 4,194,305 Type2 (k, j) rows at s = 12,
+    # four records each: refused before that key level is built.  The
+    # child's address space is capped, so a level that was built would end
+    # in a MemoryError, not take the machine's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    ring = ["--p", "2", "--n", "1", "--alpha0", "1"]
+    for argv in (["tables", *ring, "--s", "30"],
+                 ["scan", "mds", *ring, "--s", "12", "--beta", "0"]):
+        proc = subprocess.run([sys.executable, "-m", "paircodes.cli", *argv],
+                              capture_output=True, text=True, env=TREE_ENV,
+                              preexec_fn=cap, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == \
+            "ConstructionRefused"

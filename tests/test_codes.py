@@ -28,8 +28,11 @@ from paircodes.errors import (
     BetaMismatch,
     ConstraintViolation,
     ConstructionRefused,
+    DegreeMismatch,
     InvalidValue,
+    LengthTooShort,
     NotUnitNorZero,
+    ReducibleModulus,
     RingMismatch,
     VerificationMismatch,
 )
@@ -37,6 +40,11 @@ from paircodes.galois import (
     Field,
     binomial_irreducible,
     irreducible_binomial_constants,
+)
+from paircodes.pairmetric import (
+    block_decomposition,
+    hamming_distance,
+    pair_distance,
 )
 from paircodes.quotient import QuotientRing, binomial_power, qmul
 from paircodes.theory import all_code_specs
@@ -255,6 +263,37 @@ def test_all_code_specs_match_the_reference_loops():
             [spec_to_text(s) for s in want], ring
         assert got == want
     assert len(kinds) == 15
+
+
+def test_no_key_range_is_empty():
+    # all_code_specs refuses the first key level over MAX_RECORDS.  That
+    # count is exact because no range is empty: every row has a child, so
+    # no level has fewer rows than the one above it.
+    for ps in range(2, 33):
+        for table in (codes._FIELD_CODES, codes._CHAIN_CODES,
+                      codes._BETA0_CODES):
+            for family, ranges in table.items():
+                rows = [()]
+                for key, bounds in ranges:
+                    spans = [bounds(ps, *row) for row in rows]
+                    assert all(lo <= hi for lo, hi in spans), \
+                        (ps, family, key)
+                    rows = [row + (value,)
+                            for row, (lo, hi) in zip(rows, spans)
+                            for value in range(lo, hi + 1)]
+
+
+def test_the_record_ceiling_counts_exactly(monkeypatch):
+    # The heaviest ring the CLI benchmark tables: 6,742 records, four per
+    # Type2 and Type3 key row.  The ceiling admits it at its own count and
+    # refuses it at one less.
+    heavy = QuotientRing(Field(5, 1), 1, 2, 1, beta=0)
+    assert len(codes.all_code_specs(heavy)) == 6742 < codes.MAX_RECORDS
+    monkeypatch.setattr(codes, "MAX_RECORDS", 6742)
+    assert len(codes.all_code_specs(heavy)) == 6742
+    monkeypatch.setattr(codes, "MAX_RECORDS", 6741)
+    with pytest.raises(ConstructionRefused):
+        codes.all_code_specs(heavy)
 
 
 def test_validate_spec_admits_exactly_the_enumerated_records():
@@ -637,7 +676,7 @@ def _reference_ideal_rows(ring, gens):
         w = g
         for _ in range(ring.N):
             for e in _reference_scalars(ring):
-                rows.append(_reference_coords(w.scalar_mul(e)))
+                rows.append(_reference_coords(qmul(ring.poly([e]), w)))
             w = qmul(x, w)
     return np.array(rows)
 
@@ -676,38 +715,69 @@ def test_ideal_code_matches_qpoly_reference():
     assert checked > 150
 
 
+def _multiplication_matrix(ring, g):
+    """The (N*d) x (N*d) matrix M with coords(f * g) = coords(f) @ M,
+    written by the digit layer: row t*d + e is coords(y^e x^t g), and
+    over the two-component ring row t*d + m + e is coords(u y^e x^t g)."""
+    dig, N, m = codes._digits_of(ring), ring.N, ring.m
+    S = dig.shifts(dig.of(g), N)[0]
+    blocks = [dig.basis_multiples(S)]
+    if ring.is_chain:
+        blocks.append(dig.basis_multiples(dig.times_u(S)))
+    return np.stack([b.reshape(N, m, -1) for b in blocks], axis=1) \
+        .reshape(N * ring.base.gfp_dim, -1)
+
+
 def test_consta_shift_matrix_agrees_with_shift():
+    # The digit layer's shifts x^t w, t <= N, and the multiplication
+    # matrix of x it writes, against repeated qmul by x.
     rng = random.Random(3)
     for ring in _small_rings() + list(grid_rings()):
         x = ring.monomial(1)
-        S = codes._multiples(ring, x)
+        dig = codes._digits_of(ring)
+        S = _multiplication_matrix(ring, x)
         size = ring.base.size if ring.is_chain else ring.field.q
-        for _ in range(20):
+        for i in range(20):
             w = ring.poly([rng.randrange(size) for _ in range(ring.N)])
             coords = _reference_coords(w)
             assert np.array_equal(word_coords(w), coords), ring
             lhs = (coords @ S) % ring.p
             rhs = _reference_coords(qmul(x, w))
             assert np.array_equal(lhs, rhs), ring
+            if i >= 2:
+                continue
+            shifts = dig.shifts(dig.of(w), ring.N + 1)[0]
+            for t in range(ring.N + 1):
+                assert np.array_equal(shifts[t].reshape(-1),
+                                      _reference_coords(w)), (ring, t)
+                w = qmul(x, w)
 
 
 def test_multiples_is_multiplication_by_g():
-    # coords(f * g) = coords(f) @ M, checked against qmul on random f and g
+    # coords(f * g) = coords(f) @ M for the matrix the digit layer writes
+    # (shifts, basis_multiples, times_u), and scale is multiplication by a
+    # field constant: both checked against qmul on random f and g.
     rng = random.Random(13)
     for ring in _small_rings() + list(grid_rings()):
+        dig = codes._digits_of(ring)
         size = ring.base.size if ring.is_chain else ring.field.q
         for _ in range(3):
             g = ring.poly([rng.randrange(size) for _ in range(ring.N)])
-            M = codes._multiples(ring, g)
+            M = _multiplication_matrix(ring, g)
             assert M.shape == (ring.N * ring.base.gfp_dim,) * 2, ring
             for _ in range(5):
                 f = ring.poly([rng.randrange(size) for _ in range(ring.N)])
                 lhs = (_reference_coords(f) @ M) % ring.p
                 assert np.array_equal(lhs, _reference_coords(qmul(f, g))), \
                     (ring, f, g)
+            c = rng.randrange(ring.field.q)
+            scaled = dig.scale(dig.of(g), [c]).reshape(-1)
+            assert np.array_equal(
+                scaled, _reference_coords(qmul(ring.poly([c]), g))), \
+                (ring, c, g)
     other = QuotientRing(F3, 1, 1, 2)
     with pytest.raises(RingMismatch):
-        codes._multiples(_small_rings()[0], other.one())
+        codes.ideal_code(_small_rings()[0], [other.one()])
 
 
 def test_rref():
@@ -741,7 +811,7 @@ def test_same_rowspace_on_different_generating_sets():
         w, x = qmul(g, unit), ring.monomial(1)
         for _ in range(ring.N):
             for e in _reference_scalars(ring):
-                rows.append(word_coords(w.scalar_mul(e)))
+                rows.append(word_coords(qmul(ring.poly([e]), w)))
             w = qmul(x, w)
         other = ConstacyclicCode(ring, rref_mod_p(np.array(rows), ring.p))
         assert base_code.same_rowspace(other)
@@ -916,3 +986,44 @@ def test_a_basis_of_the_wrong_shape_is_refused():
         with pytest.raises(RingMismatch):
             ConstacyclicCode(ring, basis)
     assert ConstacyclicCode(ring, np.eye(9)[:2]).size == 9
+
+
+def _coords_at_size():
+    code = build_code(QuotientRing(F2, 1, 2, 1), FieldPower(2))
+    return code.coords_at(code.size)
+
+
+def _rowspaces_of_two_rings():
+    field = build_code(QuotientRing(F2, 1, 2, 1), FieldPower(2))
+    return field.same_rowspace(
+        build_code(QuotientRing(F2, 1, 2, 1, beta=0), Type1(2)))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(_coords_at_size, InvalidValue, id="coords_at-size"),
+    pytest.param(_rowspaces_of_two_rings, RingMismatch,
+                 id="same_rowspace-rings"),
+    pytest.param(lambda: spec_from_text(
+        "type1:k", QuotientRing(F2, 1, 2, 1, beta=0)),
+        ConstraintViolation, id="spec-key-without-value"),
+    pytest.param(lambda: F2.parse_element("1,0"), DegreeMismatch,
+                 id="parse_element-two-digits"),
+    pytest.param(lambda: hamming_distance((0, 1), (0,)), LengthTooShort,
+                 id="hamming_distance-lengths"),
+    pytest.param(lambda: pair_distance((0, 1), (0,)), LengthTooShort,
+                 id="pair_distance-lengths"),
+    pytest.param(lambda: block_decomposition((0,), (1,)), LengthTooShort,
+                 id="block_decomposition-length-1"),
+    pytest.param(lambda: QuotientRing(F2, 1, 2, 1).poly([0] * 5),
+                 RingMismatch, id="poly-N+1-coefficients"),
+    pytest.param(lambda: QuotientRing(F2, 1, 2, 1).one() + 1, TypeError,
+                 id="qpoly-plus-int"),
+    # x^k mod x^k is the empty product of _pmul, never x: reducible.
+    pytest.param(lambda: Field(2, 2, (0, 0, 1)), ReducibleModulus,
+                 id="modulus-x^2"),
+    pytest.param(lambda: Field(2, 3, (0, 0, 0, 1)), ReducibleModulus,
+                 id="modulus-x^3"),
+])
+def test_each_refusal_raises_its_class(call, error):
+    with pytest.raises(error):
+        call()

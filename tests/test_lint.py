@@ -150,6 +150,33 @@ def test_the_oracle_reads_only_the_basis():
     assert found == []
 
 
+def test_the_reference_reads_no_classification():
+    # build_code is held to ideal_code, so the reference shares only the
+    # digit layer with the build: neither ideal_code nor any codes.py name
+    # it reaches reads the classification or writes a standard form.
+    banned = {"build_code", "_standard_basis", "_standard_pair",
+              "_standard_exponents", "_log_size", "_pivot_inverse",
+              "generators"}
+    defs = {node.name: node
+            for node in ast.parse((SRC / "codes.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo, seen, found = ["ideal_code"], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            used = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if used in banned:
+                found.append(f"{name}:{node.lineno}:{used}")
+            elif used in defs:
+                todo.append(used)
+    assert {"_Digits", "rref_mod_p", "ConstacyclicCode"} <= seen
+    assert found == []
+
+
 def test_every_dataclass_field_is_read():
     # A record field that nothing reads is dead state.  A field counts as
     # read when src loads it as an attribute or names it as a string key,
