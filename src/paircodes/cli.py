@@ -109,13 +109,44 @@ def _ring_config(ring: QuotientRing) -> dict:
     }
 
 
+# Result values that the flat row writer of `_emit` encodes.
+_SCALARS = {str, int, float, bool, type(None)}
+# Rows of one slice of the flat row writer, about 200 bytes each.
+_ROWS_PER_SLICE = 256
+# One row as the stdlib's indent=2 writer lays it out at depth 2, but for
+# its braces; applied to a list, it also puts that separator between rows.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True,
+                                separators=(",\n      ", ": "))
+
+
 def _emit(config: dict, results: list, out) -> None:
-    """Write the JSON envelope shared by every command.  It is streamed:
-    rendering it whole first would hold a second copy of the largest
-    envelopes (about 1.2 MB for `scan mds`) in memory."""
-    json.dump({"config": config, "results": results, "version": __version__},
-              out, indent=2, sort_keys=True)
-    out.write("\n")
+    """Write the JSON envelope shared by every command.
+
+    Its bytes are those of ``json.dump(envelope, out, indent=2,
+    sort_keys=True)`` and a newline.  When every result is a non-empty
+    dict of scalars (`scan mds`, `tables --format json`), the rows are
+    encoded by json's C encoder a slice at a time, and the row braces and
+    indentation are spliced in; a raw newline never occurs inside a JSON
+    string, so the text between two rows is unambiguous.  Other results go
+    through the stdlib's indenting writer.  Either way the envelope is
+    written in slices, never rendered whole: the largest (about 1.2 MB for
+    `scan mds`) would otherwise be held twice.
+    """
+    env = {"config": config, "results": results, "version": __version__}
+    if not (results and all(type(r) is dict and r for r in results)
+            and {type(v) for r in results for v in r.values()} <= _SCALARS):
+        json.dump(env, out, indent=2, sort_keys=True)
+        out.write("\n")
+        return
+    frame = json.dumps({**env, "results": []}, indent=2, sort_keys=True)
+    head, _, tail = frame.partition('\n  "results": []')
+    out.write(head + '\n  "results": [\n')
+    for at in range(0, len(results), _ROWS_PER_SLICE):
+        rows = _ROW_ENCODER.encode(results[at:at + _ROWS_PER_SLICE])[2:-2]
+        out.write(("    {\n      " if at == 0 else ",\n    {\n      ")
+                  + rows.replace("},\n      {", "\n    },\n    {\n      ")
+                  + "\n    }")
+    out.write("\n  ]" + tail + "\n")
 
 
 def cmd_field_info(args, out) -> int:

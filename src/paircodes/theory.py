@@ -191,10 +191,22 @@ def mds_classify(ring: QuotientRing, *,
                  rng: random.Random | None = None) -> list[MdsVerdict]:
     """Closed-form MDS verdict for every admissible code of the ring.
 
-    Nothing is enumerated here; :func:`consistency_scan` checks the closed
-    forms against the exhaustive oracle.
+    A verdict's numbers are a function of the standard form's (e0, e1)
+    alone (see `codes._standard_exponents`), so they are computed once per
+    distinct form and shared by every record of that form.  Nothing is
+    enumerated here; :func:`consistency_scan` checks the closed forms
+    against the exhaustive oracle.
     """
-    return [_verdict(ring, spec) for spec in all_code_specs(ring, rng=rng)]
+    forms: dict[tuple[int, int], MdsVerdict] = {}
+    verdicts = []
+    for spec in all_code_specs(ring, rng=rng):
+        form = _standard_exponents(ring, spec)
+        v = forms.get(form)
+        if v is None:
+            v = forms[form] = _verdict(ring, spec)
+        verdicts.append(MdsVerdict(spec, v.d_sp, v.singleton_defect,
+                                   v.is_mds, v.trivial))
+    return verdicts
 
 
 @dataclass

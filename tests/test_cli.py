@@ -1,4 +1,5 @@
 import builtins
+import io
 import json
 import os
 import shutil
@@ -298,6 +299,88 @@ def test_warm_parser_and_ring_give_the_same_output(monkeypatch, capsys):
         run_cli(argv, capsys)
     for _ in range(2):
         assert [run_cli(argv, capsys) for argv in requests("5")] == fresh
+
+
+def _stdlib_envelope(config, results):
+    return json.dumps({"config": config, "results": results,
+                       "version": __version__}, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted(config, results):
+    out = io.StringIO()
+    cli._emit(config, results, out)
+    return out.getvalue()
+
+
+FLAT_ROW = {"spec": "type2:j=7,k=1,b=1", "d_sp": 4, "singleton_defect": 0,
+            "is_mds": True, "trivial": False, "none": None, "x": 1.5}
+# Text that would confuse a writer splicing rows by their braces.
+AWKWARD_TEXTS = ["}", "},", "{}", '"', '\\"', "\\", "a\nb", "\r\t\x00",
+                 "}},\n      {", "é", "∑ α₀", "😀", ""]
+AWKWARD_ROWS = [{"text": t, t or "empty": t, "n": i}
+                for i, t in enumerate(AWKWARD_TEXTS)]
+FLOAT_ROW = {"big": 10 ** 40, "neg": -0.0, "tiny": 1e-300, "huge": 1e300,
+             "nan": float("nan"), "inf": float("inf"), "int": -7}
+NESTED_ARGVS = [
+    ["distance", *FIELD_RING, "--spec", "field-power:i=1"],
+    ["scan", "consistency", *FIELD_RING],
+    ["field-info", "--p", "3", "--m", "2", "--n", "2"],
+    ["build-code", *CHAIN_B0, "--spec", "type2:j=7,k=1,b=1"],
+]
+
+
+def _nested(argv, capsys):
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 0
+    return doc["config"], doc["results"]
+
+
+@pytest.mark.parametrize("results", [
+    [FLAT_ROW],
+    [FLAT_ROW, {"a": 1}, {"b": "2"}],
+    AWKWARD_ROWS,
+    [FLOAT_ROW],
+    [],
+    [{}],
+    [FLAT_ROW, {}],
+    [FLAT_ROW, {"list": [1, 2]}, FLAT_ROW],
+    [{"nested": {"a": FLAT_ROW}}, FLAT_ROW],
+    [{"n": i, "t": AWKWARD_TEXTS[i % len(AWKWARD_TEXTS)]}
+     for i in range(2 * cli._ROWS_PER_SLICE + 3)],
+    [dict(FLAT_ROW, n=i) for i in range(cli._ROWS_PER_SLICE)],
+    [dict(FLAT_ROW, n=i) for i in range(cli._ROWS_PER_SLICE + 1)],
+], ids=["one-flat", "flat", "awkward-text", "floats", "empty", "empty-row",
+        "flat-and-empty", "flat-and-list", "nested-first", "three-slices",
+        "one-full-slice", "one-row-over"])
+def test_the_envelope_is_the_stdlibs_bytes(results):
+    config = {"ring": "GF(5)[x]/<x^25-1>", "modulus": [1, 0], "beta": None,
+              "}": "},\n    {"}
+    assert _emitted(config, results) == _stdlib_envelope(config, results)
+
+
+@pytest.mark.parametrize("argv", NESTED_ARGVS)
+def test_nested_results_are_the_stdlibs_bytes(argv, capsys):
+    config, results = _nested(argv, capsys)
+    mixed = [*results, FLAT_ROW, *results]
+    for rows in (results, mixed):
+        assert _emitted(config, rows) == _stdlib_envelope(config, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "mds", "--p", "5", "--s", "2", "--n", "1", "--alpha0", "1",
+     "--beta", "0"],
+    ["tables", *CHAIN_B0, "--format", "json"],
+])
+def test_flat_outputs_are_the_stdlibs_bytes(argv, monkeypatch, capsys):
+    # These rows are flat, so they bypass the stdlib's indenting writer; the
+    # text must still be what that writer would give for the parsed output.
+    def indenting_writer(*args, **kwargs):
+        raise AssertionError("flat rows reached json.dump")
+
+    monkeypatch.setattr(json, "dump", indenting_writer)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -238,3 +238,27 @@ def test_src_reads_private_attributes_only_on_self():
                              and node.value.id == "self")):
                 found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
     assert found == []
+
+
+def test_one_function_writes_every_cli_envelope():
+    # cli._emit is the one envelope writer (ROADMAP aim 2): no other src
+    # code lays JSON out with indent= or streams it with json.dump.  One-line
+    # json.dumps, as _error_exit's, stays allowed.
+    found, emit = [], None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path.name == "cli.py":
+            emit = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "_emit")
+            inside = {id(node) for node in ast.walk(emit)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name == "dump" or any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
+    assert emit is not None
+    assert found == []

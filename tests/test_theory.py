@@ -233,6 +233,37 @@ def test_mds_classify_chain_beta_nonzero_only_trivial():
         assert mds[0].trivial
 
 
+def _ring_of(p, m, n, s, alpha0, beta=None):
+    field = Field(p, m)
+    return QuotientRing(field, n, s, field.parse_element(alpha0),
+                        None if beta is None else field.parse_element(beta))
+
+
+@pytest.mark.parametrize("ring", [
+    (3, 1, 2, 2, "2"),                # field, n >= 2
+    (2, 2, 3, 1, "0,1"),              # field GF(4), n = 3
+    (5, 1, 1, 2, "3"),
+    (3, 1, 1, 2, "1", "1"),           # chain, beta != 0
+    (2, 2, 3, 1, "0,1", "1"),
+    (2, 1, 1, 3, "1", "0"),           # beta = 0
+    (3, 1, 1, 2, "2", "0"),
+    (5, 1, 1, 1, "2", "0"),
+    (2, 2, 3, 1, "0,1", "0"),         # beta = 0, GF(4), n = 3
+    (3, 1, 2, 1, "2", "0"),           # beta = 0, n = 2
+], ids=str)
+def test_mds_classify_is_mds_verdict_of_each_record(ring):
+    # mds_classify shares one verdict among the records of one standard
+    # form (e0, e1); each must still be the verdict of its own record.
+    ring = _ring_of(*ring)
+    for seed in (0, 1):
+        got = mds_classify(ring, rng=random.Random(seed))
+        want = [mds_verdict(ring, spec)
+                for spec in all_code_specs(ring, rng=random.Random(seed))]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w, (ring, w.spec)
+
+
 def test_all_code_specs_cover_beta_zero_families():
     ring = QuotientRing(Field(2, 1), 1, 2, 1, beta=0)
     rng = random.Random(5)
