@@ -20,10 +20,13 @@ counters is that table plus one word.  Words take one of two forms,
 chosen by p alone.  At odd p a word is one unsigned integer per GF(p)
 coordinate, brought back into [0, p) after each addition by one
 conditional subtract (unsigned words - p wraps above words when
-words < p): about |C| * N * d / (p-1) additions.  At p = 2 a word is d
-digit planes of ceil(N/64) uint64 lanes, adding is XOR, and the support
-and pair support are a few OR and shift operations on the lanes, weighed
-by counting bits: about |C| * d * ceil(N/64) word operations.
+words < p): about |C| * N * d / (p-1) additions.  Its support is one byte
+per position and its pair support that byte OR the next one's, both
+counted in the narrowest unsigned integer that holds N: about 2N byte ORs
+and adds per word.  At p = 2 a word is d digit planes of ceil(N/64)
+uint64 lanes, adding is XOR, and the support and pair support are a few
+OR and shift operations on the lanes, weighed by counting bits: about
+|C| * d * ceil(N/64) word operations.
 Scaling a word by a unit keeps its support, and a counter with leading
 base-p digit a != 1 names a times a smaller counter with leading digit 1.
 So the low table is weighed whole, as one block, and past it only the
@@ -141,12 +144,14 @@ class _Symbols:
     coordinate, on the narrowest integers that hold 2(p-1).  A sum of two
     digits is brought back into [0, p) by one conditional subtract
     (unsigned x - p wraps above x when x < p), so the rows are the basis
-    reduced mod p."""
+    reduced mod p.  The support is one byte per position, and the weights
+    are counted in `acc`, the narrowest unsigned integer that holds N."""
 
     def __init__(self, code: ConstacyclicCode):
         self.code, self.p = code, code.ring.p
         self.N, self.d = code.ring.N, code.ring.base.gfp_dim
         self.dtype = np.min_scalar_type(2 * (self.p - 1))
+        self.acc = np.min_scalar_type(self.N)
         self.rows = (code.basis % self.p).astype(self.dtype)
 
     def add(self, words, word, out=None):
@@ -158,9 +163,12 @@ class _Symbols:
 
     def weights(self, words):
         """Pair and Hamming weights of the columns of `words`."""
-        mask = words.reshape(self.N, self.d, -1).any(axis=1)
-        pair = mask | np.roll(mask, -1, axis=0)
-        return pair.sum(axis=0), mask.sum(axis=0)
+        mask = words.reshape(self.N, self.d, -1).any(axis=1).view(np.uint8)
+        pair = mask.copy()
+        pair[:-1] |= mask[1:]
+        pair[-1] |= mask[0]
+        return (np.add.reduce(pair, axis=0, dtype=self.acc),
+                np.add.reduce(mask, axis=0, dtype=self.acc))
 
 
 class _Planes:
@@ -174,6 +182,7 @@ class _Planes:
         self.code, self.p = code, 2
         N, d = code.ring.N, code.ring.base.gfp_dim
         self.lanes, self.wrap = -(-N // 64), (N - 1) % 64
+        self.acc = np.min_scalar_type(N)
         bits = np.zeros((code.dim_p, d, 64 * self.lanes), dtype=np.uint8)
         bits[:, :, :N] = code.basis.reshape(-1, N, d).transpose(0, 2, 1) & 1
         self.rows = np.packbits(bits, axis=-1, bitorder="little") \
@@ -201,10 +210,12 @@ class _Planes:
         return self._count(pair), self._count(support)
 
     def _count(self, lanes):
-        """Set bits per column.  numpy reduces over a short leading axis
-        slowly, so one lane is read as it is."""
+        """Set bits per column, uint8 per lane, summed over the lanes in the
+        narrowest unsigned integer that holds N.  numpy reduces over a short
+        leading axis slowly, so one lane is read as it is."""
         bits = np.bitwise_count(lanes)
-        return bits[0] if self.lanes == 1 else bits.sum(axis=0)
+        return bits[0] if self.lanes == 1 else \
+            np.add.reduce(bits, axis=0, dtype=self.acc)
 
 
 def _low_table(form, h: int) -> np.ndarray:

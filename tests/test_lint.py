@@ -262,3 +262,21 @@ def test_one_function_writes_every_cli_envelope():
                 found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
     assert emit is not None
     assert found == []
+
+
+def test_the_oracle_names_every_accumulator():
+    # The oracle's weights are counted in the narrowest unsigned integer
+    # that holds N: a .sum( or add.reduce( without dtype= casts a byte array
+    # to int64 row by row, several times the cost of the addition.
+    # np.roll copies the mask a second time to rotate it.
+    found = []
+    for node in ast.walk(ast.parse((SRC / "pairmetric.py").read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "roll":
+            found.append(f"{node.lineno}:{ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if name.endswith((".sum", "add.reduce")) and all(
+                    k.arg != "dtype" for k in node.keywords):
+                found.append(f"{node.lineno}:{ast.unparse(node)}")
+    assert found == []

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 
@@ -32,7 +33,7 @@ from paircodes.pairmetric import (
     scan_minima,
 )
 from paircodes.quotient import QuotientRing
-from paircodes.theory import consistency_scan
+from paircodes.theory import consistency_scan, min_pair_distance
 
 
 def test_pair_vector_wraps_around():
@@ -243,6 +244,48 @@ def test_scan_large_primes(p):
     assert res["exhaustive"] and res["scanned"] == p * p - 1
     assert res["min_hamming"] == p - 1
     assert res["min_pair"] == p
+
+
+@pytest.mark.parametrize("p, s, i", [(3, 6, 728), (3, 6, 727), (5, 4, 624)])
+def test_scan_counts_weights_past_255(p, s, i):
+    # N = p^s is 729 or 625: a weight of one byte would wrap (729 reads 217),
+    # so the counts must be held in uint16.  Every word is weighed here by
+    # pure Python, and the closed form gives the same minimum.
+    ring = QuotientRing(Field(p, 1), 1, s, 1)
+    code = build_code(ring, FieldPower(i))
+    assert ring.N > 255
+    words = [code.word_at(c) for c in range(1, code.size)]
+    pairs = [pair_weight(w) for w in words]
+    hams = [hamming_weight(w) for w in words]
+    res = scan_minima(code)
+    assert res == {"min_pair": min(pairs),
+                   "pair_at": pairs.index(min(pairs)) + 1,
+                   "min_hamming": min(hams),
+                   "hamming_at": hams.index(min(hams)) + 1,
+                   "exhaustive": True, "scanned": code.size - 1}
+    assert res["min_pair"] == min_pair_distance(ring, FieldPower(i))
+    if i == ring.N - 1:
+        assert res["min_pair"] == res["min_hamming"] == ring.N
+
+
+@pytest.mark.parametrize("ring, spec", [
+    (QuotientRing(Field(3, 1), 1, 3, 1), FieldPower(18)),
+    (QuotientRing(Field(2, 1), 1, 4, 1), FieldPower(1)),
+    (QuotientRing(Field(2, 2), 3, 5, 2), FieldPower(29)),
+])
+def test_the_oracle_returns_plain_python_numbers(ring, spec):
+    # The weights are uint8/uint16 arrays; what leaves the oracle is int,
+    # bool or None, so no numpy scalar reaches the JSON envelope.  p = 2
+    # is weighed as bit planes (N = 96: two lanes a plane) and as symbols.
+    code, budget = build_code(ring, spec), 1 << 12
+    scans = [scan_minima(code, budget),
+             pairmetric._scan(pairmetric._Symbols(code), budget)]
+    for res in scans:
+        assert {type(v) for v in res.values()} <= {int, bool, type(None)}
+    report = min_distance_brute(code, budget).to_dict()
+    assert {type(report[k]) for k in ("d_sp", "d_H", "L")} <= \
+        {int, type(None)}
+    json.dumps([scans, report])
 
 
 def _reference_words(code):
