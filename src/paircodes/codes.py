@@ -22,7 +22,7 @@ distances, are written once, in `_standard_exponents`.
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
 echelon form, written straight from the standard form
 <a^e0 + u a^k c, u a^e1> with no elimination and then proved to span the
-ideal of the literal generators (see `_standard_basis`).  ``ideal_code``
+ideal of the literal generators (see `_standard_bases`).  ``ideal_code``
 builds the same basis from arbitrary generators by one RREF; it is the
 reference the tests hold ``build_code`` to.  Codewords are laid out
 position-major: position t of a word occupies columns [t*d, (t+1)*d) where
@@ -48,6 +48,7 @@ from .errors import (
     RingMismatch,
     VerificationMismatch,
 )
+from ._digits import _Digits, _digits_of
 from .galois import as_int, parse_int
 from .quotient import QPoly, QuotientRing, binomial_power, qmul
 
@@ -432,17 +433,19 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     work.  Records with the same generator coefficients span the same
     ideal, so the ring remembers the basis per generator tuple.  Every
     record is still validated, and its rank is still checked against its
-    own classified size.
+    own classified size.  A basis not kept yet is written by the batched
+    kernel `_standard_bases` on a stack of one record; `consistency_scan`
+    runs it on all its records at once first (`_remember_bases`).
     """
-    cols = ring.N * ring.base.gfp_dim
-    if cols > MAX_COLUMNS:
-        raise ConstructionRefused(
-            f"a code is built over at most {MAX_COLUMNS} GF({ring.p}) "
-            f"columns; this ring has {cols}")
+    _check_columns(ring)
     gens = generators(ring, spec)
-    basis = ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
-                          lambda: _standard_basis(ring, spec, gens))
-    code = ConstacyclicCode(ring, basis)
+
+    def make():
+        basis, = _standard_bases(ring, [(spec, gens)])
+        if isinstance(basis, VerificationMismatch):
+            raise basis
+        return basis
+    code = ConstacyclicCode(ring, _kept_basis(ring, gens, make))
     want = _log_size(ring, spec)
     if code.dim_p != want:
         raise VerificationMismatch(
@@ -451,141 +454,73 @@ def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
     return code
 
 
-class _Digits:
-    """GF(p) digit arithmetic in one quotient, with no Python work per
-    coefficient.  An element is the (N, d) array of the GF(p) digits of
-    its coefficients (`digits`).  A multiplier f is the (K, d) array
-    of the digits of its first K coefficients; its u-digits are zero when
-    f lies in the field quotient.  Multiplying a coefficient by a field
-    element c is the m x m matrix D(c) = sum_i c_i D(y^i) on each group of
-    m digits, and multiplying by x^t moves the positions and multiplies
-    the t that wrap by lam.  It holds plain data, never the ring, so a
-    ring can remember it (`_digits_of`).
-    """
-
-    def __init__(self, ring: QuotientRing):
-        field, p, m, d = ring.field, ring.p, ring.m, ring.base.gfp_dim
-        self.p, self.N, self.m, self.d = p, ring.N, m, d
-        self.place = p ** np.arange(d, dtype=np.int64)
-        self.steps = np.arange(ring.N + 1)
-        # Column t*d + e holds digit e of position t.
-        self.cols = self.steps[:ring.N, None] * d + np.arange(m)
-        ys = self.place[:m].tolist()
-        table = self.digits([field.mul(a, b) for b in ys for a in ys]
-                            + [ring.base.mul(ring.lam, e)
-                               for e in self.place.tolist()])
-        # Row i is D(y^i), flattened: row r of D(y^i) holds the digits of
-        # y^r * y^i.  Then the d x d matrix of multiplication by lam.
-        self.ys_mats = table[:m * m, :m].reshape(m, m * m)
-        self.lam = table[m * m:]
-
-    def digits(self, values) -> np.ndarray:
-        """GF(p) coordinates of encoded coefficients, on a new last axis of
-        length d: their base-p digits, least significant first.  A field
-        element's digits are its coordinates, and a + q*b over the
-        two-component ring gives the digits of a, then those of b."""
-        return np.asarray(values, dtype=np.int64)[..., None] \
-            // self.place % self.p
-
-    def values(self, digits) -> np.ndarray:
-        """Encoded coefficients of a coordinate row, d digits per
-        coefficient: the inverse of `digits`."""
-        return np.asarray(digits, dtype=np.int64).reshape(-1, self.d) \
-            @ self.place
-
-    def of(self, *fs: QPoly) -> np.ndarray:
-        return self.digits([f.coeffs for f in fs])
-
-    def mats(self, F: np.ndarray) -> np.ndarray:
-        """D(c) for each c with field digits F (..., m)."""
-        m = self.m
-        return (F @ self.ys_mats).reshape(F.shape[:-1] + (m, m))
-
-    def shifts(self, X: np.ndarray, count: int) -> np.ndarray:
-        """x^t X for t < count <= N + 1, as (..., count, N, d): positions
-        N - t .. 2N - t - 1 of [lam X, X]."""
-        N, steps = self.N, self.steps
-        both = np.concatenate([X @ self.lam % self.p, X], axis=-2)
-        return np.take(both, N - steps[:count, None] + steps[:N], axis=-2)
-
-    def times(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """sum_i f_oi X_i for each output o: X stacks k elements (k, N, d)
-        and F their multipliers (o, k, K, d); f = f_a + u f_u.  One matrix
-        product sums D(f_oit)[in, out] times digit `in` of each group of
-        x^t X_i over (i, t, in)."""
-        m, N, d = self.m, self.N, self.d
-        o, k, K = F.shape[:3]
-        S = self.shifts(X, K).reshape(k, K, N, d // m, m)
-        S = S.transpose(0, 1, 4, 2, 3).reshape(k * K * m, N * d // m)
-        D = self.mats(F[..., :m]).transpose(0, 4, 1, 2, 3).reshape(o * m, -1)
-        Y = (D @ S).reshape(o, m, N, d // m).transpose(0, 2, 3, 1)
-        Y = Y.reshape(o, N, d)
-        if F[..., m:].any():
-            Y = Y + self.times_u(self.times(X, F[..., m:]))
-        return Y % self.p
-
-    def times_u(self, X: np.ndarray) -> np.ndarray:
-        Y = np.zeros_like(X)
-        Y[..., self.m:] = X[..., :self.m]
-        return Y
-
-    def basis_multiples(self, S: np.ndarray) -> np.ndarray:
-        """The rows y^e S[t] for each t and e < m, in that order."""
-        (count, N, d), m = S.shape, self.m
-        if m > 1:
-            S = np.einsum("tnjk,ekl->tenjl", S.reshape(count, N, d // m, m),
-                          self.mats(np.eye(m, dtype=np.int64)))
-        return S.reshape(count * m, N * d)
-
-    def scale(self, X: np.ndarray, cs) -> np.ndarray:
-        """X[i] times the field element cs[i], for each i."""
-        D = self.mats(self.digits(cs)[:, :self.m])
-        return (X.reshape(len(X), -1, self.m) @ D).reshape(X.shape) % self.p
-
-    def toeplitz(self, series: np.ndarray) -> np.ndarray:
-        """The upper block-Toeplitz matrix with D(series[j]) on its j-th
-        block diagonal, one block row per entry of `series` (count, m)."""
-        count, m = series.shape
-        at = self.steps[:count]
-        T = np.take(self.mats(np.concatenate([np.zeros_like(series), series])),
-                    count + at - at[:, None], axis=0)
-        return T.transpose(0, 2, 1, 3).reshape(count * m, count * m)
+def _check_columns(ring: QuotientRing) -> None:
+    """Refuse a ring of more than `MAX_COLUMNS` GF(p) columns."""
+    cols = ring.N * ring.base.gfp_dim
+    if cols > MAX_COLUMNS:
+        raise ConstructionRefused(
+            f"a code is built over at most {MAX_COLUMNS} GF({ring.p}) "
+            f"columns; this ring has {cols}")
 
 
-def _digits_of(ring: QuotientRing) -> _Digits:
-    return ring.remember(("codes._Digits",), lambda: _Digits(ring))
+def _kept_basis(ring: QuotientRing, gens: list[QPoly], make) -> np.ndarray:
+    """The basis the ring keeps for the generator tuple `gens`, made by
+    `make` when there is none yet."""
+    return ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
+                         make)
 
 
-def _standard_pair(ring: QuotientRing, spec: CodeSpec, dig: _Digits,
-                   lits: np.ndarray) -> np.ndarray:
-    """Digits of g0 = a^e0 + u a^k c and g1 = u a^e1, each an explicit ring
-    multiple of the literal generators `lits`, stacked; g0 is zero where
-    the code has no a-part of its own (a field code, b = 0 in Type2, a
-    chain code past p^s).  With h = a^j b + u a^k and c = b^-1: g0 = c h,
-    and g1 = a^(p^s-j) h in Type2, a^(k+t-j) h - b a^(k+t) in Type3."""
-    ps, zero = ring.p ** ring.s, np.zeros_like(lits[:1])
+def _remember_bases(ring: QuotientRing, specs: Sequence[CodeSpec]) -> None:
+    """Build in batches, and remember, the basis of every record in `specs`
+    whose generator tuple the ring does not keep yet, so that `build_code`
+    finds it.  A build whose proof fails is not kept: `build_code` repeats
+    it alone and raises."""
+    _check_columns(ring)
+
+    def unkept():
+        raise KeyError
+    todo = {}
+    for spec in specs:
+        gens = generators(ring, spec)
+        key = tuple(g.coeffs for g in gens)
+        if key not in todo:
+            try:
+                _kept_basis(ring, gens, unkept)
+            except KeyError:        # not kept, and `remember` stored nothing
+                todo[key] = spec, gens
+    todo = list(todo.values())
+    for (_, gens), basis in zip(todo, _standard_bases(ring, todo)):
+        if not isinstance(basis, VerificationMismatch):
+            _kept_basis(ring, gens, lambda: basis)
+
+
+def _multipliers(ring: QuotientRing,
+                 spec: CodeSpec) -> list[list[tuple[int, ...]]]:
+    """Coefficients of the ring elements f_oi with g_o = sum_i f_oi h_i, the
+    standard pair g0 = a^e0 + u a^k c and g1 = u a^e1 as explicit ring
+    multiples of the literal generators h_i.  g0 is zero where the code
+    has no a-part of its own (a field code, b = 0 in Type2, a chain code
+    past p^s).  With h = a^j b + u a^k and c = b^-1: g0 = c h, and
+    g1 = a^(p^s-j) h in Type2, a^(k+t-j) h - b a^(k+t) in Type3.  g1 may
+    come out a unit multiple of u a^e1, as over beta != 0: making it monic
+    takes the unit off."""
+    ps, zero, one = ring.p ** ring.s, (0,), (1,)
     if isinstance(spec, FieldPower):
-        return np.concatenate([zero, lits])
+        return [[zero], [one]]
     if isinstance(spec, Type1):
-        return np.concatenate([lits, dig.times_u(lits)])
-    if isinstance(spec, ChainPrincipal):         # a^(p^s) = u beta here
-        to_u = [ring.field.pow(ring.beta, -1)]
-        if spec.i > ps:
-            return np.concatenate([zero, dig.scale(lits, to_u)])
-        F = dig.of(binomial_power(ring, ps - spec.i))
-        return np.concatenate([lits, dig.scale(dig.times(lits, F[None]),
-                                               to_u)])
+        return [[one], [(ring.base.make(0, 1),)]]
+    if isinstance(spec, ChainPrincipal):   # a^(p^s) = u beta: g1 = beta u
+        return [[one], [binomial_power(ring, ps - spec.i).coeffs]] \
+            if spec.i <= ps else [[zero], [one]]
     if spec.b.is_zero():        # <u a^k>, and a^(k+t) after it in Type3
-        return lits[::-1] if isinstance(spec, Type3) else \
-            np.concatenate([zero, lits])
+        return [[zero, one], [one, zero]] if isinstance(spec, Type3) else \
+            [[zero], [one]]
     fq = ring.field_quotient()
+    c = unit_inverse(fq, spec.b).coeffs
     if isinstance(spec, Type2):
-        F = dig.of(unit_inverse(fq, spec.b), binomial_power(fq, ps - spec.j))
-        return dig.times(lits, F[:, None])
-    F = dig.of(unit_inverse(fq, spec.b), fq.zero(),
-               binomial_power(fq, spec.k + spec.t - spec.j), spec.b)
-    F[3] = -F[3] % ring.p
-    return dig.times(lits, F.reshape(2, 2, *F.shape[1:]))
+        return [[c], [binomial_power(fq, ps - spec.j).coeffs]]
+    return [[c, zero], [binomial_power(fq, spec.k + spec.t - spec.j).coeffs,
+                        tuple(map(fq.field.neg, spec.b.coeffs))]]
 
 
 def _pivot_inverse(ring: QuotientRing, dig: _Digits, e: int) -> np.ndarray:
@@ -593,35 +528,37 @@ def _pivot_inverse(ring: QuotientRing, dig: _Digits, e: int) -> np.ndarray:
     t < N - n e, for a^e monic: the upper block-Toeplitz matrix of the
     power-series inverse of a^e.  For e > 0 that series is the monic
     a^(p^s - e), as their product x^N - alpha is constant below x^N; the
-    inverse of a^0 = 1 is 1, not a^(p^s) = 0.  The ring keeps the series
-    per e, not the matrix, which would hold (N m)^2 entries per e."""
+    inverse of a^0 = 1 is 1, not a^(p^s) = 0.  The ring keeps the matrix
+    per e: it has ((N - n e) m)^2 entries, no more than the basis of a
+    code with that e, which the ring keeps too."""
     def make():
         ps, m = ring.p ** ring.s, ring.m
         series = dig.of(binomial_power(ring.field_quotient(), (ps - e) % ps))
         head = int(series[0, 0, :m] @ dig.place[:m])
         if head != 1:
             series = dig.scale(series, [ring.field.pow(head, -1)])
-        return series[0, :, :m]
-    series = ring.remember(("codes._pivot_inverse", e), make)
-    return dig.toeplitz(series[:ring.N - ring.n * e])
+        return dig.toeplitz(series[0, :ring.N - ring.n * e, :m])
+    return ring.remember(("codes._pivot_inverse", e), make)
 
 
-def _standard_basis(ring: QuotientRing, spec: CodeSpec,
-                    gens: list[QPoly]) -> np.ndarray:
-    """The row-reduced basis of the ideal I of `gens`, the literal
-    generators of `spec`, written from its standard form with no
-    elimination.
+# The most int64 entries of one temporary of a batch of builds, which holds
+# at most (N d)^2 per build; more records are built in several batches.
+_BATCH = 1 << 14
 
-    g0 = a^e0 + u a^k c and g1 = u a^e1 are ring multiples of `gens`
-    (`_standard_pair`), each made monic at its lowest digit block: the
-    a-digits of position 0 for g0, the u-digits for g1 (all the digits
-    over the field).  The rows are y^e x^t g0 for t < c0 = N - n e0 and
-    y^e x^t g1 for t < c1 = N - n e1, e < m, with (e0, e1) read from
-    `_standard_exponents`.  Their pivot columns are digit e of the
-    a-block, resp. u-block, of position t.  In block order, a-rows first,
-    the pivot block is [[T_a, B], [0, T_u]] with T_a and T_u unit upper
-    block-Toeplitz; its inverse Q has the power-series inverses of
-    T_a and T_u on the diagonal (`_pivot_inverse`), and R = Q rows:
+
+def _standard_bases(ring: QuotientRing, todo: Sequence[tuple]) -> list:
+    """For each (spec, gens) of `todo`, the row-reduced basis of the ideal I
+    of `gens`, the literal generators of `spec`, written from its standard
+    form with no elimination; or the VerificationMismatch its proof raised.
+
+    g0 = a^e0 + u a^k c and g1 = u a^e1 are ring multiples of `gens`,
+    made monic (`_standard_pairs`).  The rows are y^e x^t g0 for
+    t < c0 = N - n e0 and y^e x^t g1 for t < c1 = N - n e1, e < m, with
+    (e0, e1) read from `_standard_exponents`.  Their pivot columns are
+    digit e of the a-block, resp. u-block, of position t.  In block order,
+    a-rows first, the pivot block is [[T_a, B], [0, T_u]] with T_a and T_u
+    unit upper block-Toeplitz; its inverse Q has the power-series inverses
+    of T_a and T_u on the diagonal (`_pivot_inverse`), and R = Q rows:
     R_u = T_u^-1 U, R_a = T_a^-1 (A - B R_u).  Pivot order would not be
     triangular: x^t g0 wraps its u-part below position t.
 
@@ -636,52 +573,106 @@ def _standard_basis(ring: QuotientRing, spec: CodeSpec,
       or a scalar times x^c g, and u times a row is a scalar times a
       shift of u g, so V is closed under x and u: an ideal.
     Every row is a ring multiple of `gens`, so V is in I: V = I.  A check
-    that fails, for one because (e0, e1) are wrong, raises
-    VerificationMismatch.
+    that fails, for one because (e0, e1) are wrong, fails its own record.
+
+    The records are sorted by their number of generators and (e0, e1), and
+    cut into batches of one number of generators, at most `_BATCH` //
+    (N d)^2 records each.  One batched product writes a batch's standard
+    pairs; then the records of one (e0, e1), which share c0, c1, the
+    pivots and both pivot inverses, are reduced and proved together.
     """
+    step = max(1, _BATCH // (ring.N * ring.base.gfp_dim) ** 2)
+    forms = [(len(gens), *_standard_exponents(ring, spec))
+             for spec, gens in todo]
+    order = sorted(range(len(todo)), key=forms.__getitem__)
+    out: list = [None] * len(todo)
+    lo = 0
+    while lo < len(order):
+        k = forms[order[lo]][0]
+        batch = [at for at in order[lo:lo + step] if forms[at][0] == k]
+        lo += len(batch)
+        pairs = _standard_pairs(ring, [todo[at] for at in batch])
+        runs: dict[tuple, list[int]] = {}
+        for i, at in enumerate(batch):
+            runs.setdefault(forms[at], []).append(i)
+        for (_, e0, e1), run in runs.items():
+            part = slice(run[0], run[-1] + 1)       # a batch is sorted by form
+            for at, basis in zip(batch[part], _standard_batch(
+                    ring, e0, e1, [todo[at][0] for at in batch[part]],
+                    *(a[part] for a in pairs))):
+                out[at] = basis
+    return out
+
+
+def _standard_pairs(ring: QuotientRing, todo: list[tuple]) -> tuple:
+    """For (spec, gens) records of one number k of generators: the digits
+    of their literal generators (B, k, N, d), of their standard pairs
+    (B, 2, N, d), and whether each g of a pair has a nonzero lowest digit
+    block (B, 2): the a-digits of position 0 for g0, the u-digits for g1
+    (all the digits over the field).  Each g with one is made monic there.
+    """
+    N, m, d = ring.N, ring.m, ring.base.gfp_dim
+    dig, B = _digits_of(ring), len(todo)
+    lits = dig.of(*(g for _, gens in todo for g in gens)).reshape(B, -1, N, d)
+    table: dict[tuple, int] = {}     # each distinct multiplier once
+    at = [[[table.setdefault(f, len(table)) for f in row] for row in rows]
+          for rows in (_multipliers(ring, spec) for spec, _ in todo)]
+    K = max(map(len, table))
+    F = dig.digits([f + (0,) * (K - len(f)) for f in table])
+    G = dig.times(lits, F[np.array(at)])
+    heads = G[:, :, 0].reshape(B, 2, -1, m) @ dig.place[:m]
+    leads = heads[:, [0, 1], [0, -1]]           # per digit group
+    flat = leads.ravel().tolist()
+    inverse = {lead: ring.field.pow(lead, -1) for lead in set(flat) if lead}
+    if any(inv != 1 for inv in inverse.values()):
+        G = dig.scale(G.reshape(2 * B, N, d),
+                      [inverse.get(lead, 1) for lead in flat]).reshape(G.shape)
+    return lits, G, leads != 0
+
+
+def _standard_batch(ring: QuotientRing, e0: int, e1: int,
+                    specs: list[CodeSpec], lits: np.ndarray, G: np.ndarray,
+                    led: np.ndarray) -> list:
+    """`_standard_bases` of records with the standard exponents (e0, e1),
+    from their `_standard_pairs`."""
     p, N, n, m = ring.p, ring.N, ring.n, ring.m
-    d = ring.base.gfp_dim
-    dig = _digits_of(ring)
-    lits = dig.of(*gens)
-    G = _standard_pair(ring, spec, dig, lits)
-    e0, e1 = _standard_exponents(ring, spec)
+    d, dig, B = ring.base.gfp_dim, _digits_of(ring), len(specs)
     c0, c1 = N - n * e0, N - n * e1
-    heads = G[:, 0].reshape(2, -1, m) @ dig.place[:m]    # per digit group
-    leads = int(heads[0, 0]), int(heads[1, -1])
-    if not all(0 <= c <= N and (lead or not c)
-               for c, lead in zip((c0, c1), leads)):
-        raise VerificationMismatch(
-            f"no standard form with {c0} + {c1} shifts for "
-            f"{spec_to_text(spec)}")
-    if any(c and lead != 1 for c, lead in zip((c0, c1), leads)):
-        G = dig.scale(G, [ring.field.pow(lead, -1) if c else 1
-                          for c, lead in zip((c0, c1), leads)])
+
+    def mismatch(spec, formed=False):
+        text = spec_to_text(spec)
+        return VerificationMismatch(
+            f"the standard form of {text} does not reduce to the ideal of "
+            "its generators" if formed else
+            f"no standard form with {c0} + {c1} shifts for {text}")
+    if not (0 <= c0 <= N and 0 <= c1 <= N):
+        return [mismatch(spec) for spec in specs]
+    formed = (led[:, 0] | (c0 == 0)) & (led[:, 1] | (c1 == 0))
     # One gather for both blocks, or for g1 alone when g0 has no rows.
-    S = dig.shifts(G[1 - bool(c0):], max(c0, c1) + 1)
-    S0, S1 = S[0] if c0 else G[:1], S[-1]
-    checks = [lits, S0[c0:c0 + 1], S1[c1:c1 + 1]]
+    S = dig.shifts(G[:, 1 - bool(c0):], max(c0, c1) + 1)
+    S0, S1 = S[:, 0] if c0 else G[:, :1], S[:, -1]
+    checks = [lits, S0[:, c0:c0 + 1], S1[:, c1:c1 + 1]]
     if d > m:
         checks.append(dig.times_u(G))
-    checks = np.concatenate(checks).reshape(-1, N * d)
+    checks = np.concatenate(checks, axis=1).reshape(B, -1, N * d)
     piv = (dig.cols[:c1] + d - m).ravel()
-    R = _pivot_inverse(ring, dig, e1) @ dig.basis_multiples(S1[:c1])
+    R = _pivot_inverse(ring, dig, e1) @ dig.basis_multiples(S1[:, :c1])
     R %= p
-    del S, S1                   # a build's peak memory is about 3 R
+    del S, S1                   # a batch's peak memory is about 3 R
     if c0:
-        A = dig.basis_multiples(S0[:c0])
-        R_a = _pivot_inverse(ring, dig, e0) @ ((A - A[:, piv] @ R) % p) % p
+        A = dig.basis_multiples(S0[:, :c0])
+        R_a = _pivot_inverse(ring, dig, e0) @ (
+            (A - A[:, :, piv] @ R) % p) % p
         piv = np.concatenate([dig.cols[:c0].ravel(), piv])
         order = np.argsort(piv)
-        R, piv = np.concatenate([R_a, R])[order], piv[order]
-    pivots = R[:, piv]
-    if not (np.count_nonzero(pivots) == len(piv)
-            and (pivots.diagonal() == 1).all()
-            and ((R != 0).argmax(axis=1) == piv).all()
-            and not ((checks - checks[:, piv] @ R) % p).any()):
-        raise VerificationMismatch(
-            f"the standard form of {spec_to_text(spec)} does not reduce to "
-            "the ideal of its generators")
-    return R
+        R, piv = np.concatenate([R_a, R], axis=1)[:, order], piv[order]
+    proved = formed & (
+        (R[:, :, piv] == np.eye(len(piv), dtype=R.dtype)).all(axis=(1, 2))
+        & ((R != 0).argmax(axis=2) == piv).all(axis=1)
+        & ~((checks - checks[:, :, piv] @ R) % p).any(axis=(1, 2)))
+    return [basis.copy() if ok else mismatch(spec, form)
+            for basis, ok, form, spec in zip(R, proved.tolist(),
+                                             formed.tolist(), specs)]
 
 
 def random_unit(fq: QuotientRing, rng: random.Random) -> QPoly:
@@ -710,12 +701,15 @@ def _unit_power(fq: QuotientRing, b: QPoly) -> tuple[int, ...]:
     """Coefficients of b^(p^s (q^n - 1) - 1), checked to be b^-1."""
     dig, p = _digits_of(fq), fq.p
     B, one = dig.of(b, fq.one())
+
+    def times(x, y):
+        return dig.times(x[None, None], y[None, None, None])[0, 0]
     out = one
     for bit in bin(p ** fq.s * (fq.field.q ** fq.n - 1) - 1)[2:]:
-        out = dig.times(out[None], out[None, None])[0]
+        out = times(out, out)
         if bit == "1":
-            out = dig.times(out[None], B[None, None])[0]
-    if not np.array_equal(dig.times(out[None], B[None, None])[0], one):
+            out = times(out, B)
+    if not np.array_equal(times(out, B), one):
         raise NotUnitNorZero(f"{b!r} is not a unit of {fq!r}")
     return tuple(dig.values(out).tolist())
 

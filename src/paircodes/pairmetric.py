@@ -163,7 +163,8 @@ class _Symbols:
 
     def weights(self, words):
         """Pair and Hamming weights of the columns of `words`."""
-        mask = words.reshape(self.N, self.d, -1).any(axis=1).view(np.uint8)
+        mask = (words != 0 if self.d == 1 else
+                words.reshape(self.N, self.d, -1).any(axis=1)).view(np.uint8)
         pair = mask.copy()
         pair[:-1] |= mask[1:]
         pair[-1] |= mask[0]
@@ -256,9 +257,10 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
     remembers it per (basis, budget); every call gets a fresh dict.
     """
     check_budget(budget)
-    key = ("pairmetric.scan_minima", code.basis.tobytes(), budget)
     form = _Planes if code.ring.p == 2 else _Symbols
-    return dict(code.ring.remember(key, lambda: _scan(form(code), budget)))
+    return dict(code.ring.remember(
+        ("pairmetric.scan_minima", code.basis.tobytes(), budget),
+        lambda: _scan(form(code), budget)))
 
 
 def _scan(form, budget: int) -> dict:

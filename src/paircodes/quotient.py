@@ -226,26 +226,29 @@ def binomial_power(ring: QuotientRing, i: int) -> QPoly:
     nilpotent of index p^s, so i ranges over [0, p^s].  Over the
     two-component ring i ranges over [0, 2*p^s]: a^(p^s) = x^N - alpha =
     u*beta, so a^i = u*beta*a^r when w = 1, and a^i = 0 when w = 2 or
-    beta = 0 (u^2 = 0).
+    beta = 0 (u^2 = 0).  The ring remembers the coefficients per i.
     """
     ps = ring.p ** ring.s
-    top = ps * (2 if ring.is_chain else 1)
-    if not 0 <= as_int(i) <= top:
+    top, i = ps * (2 if ring.is_chain else 1), as_int(i)
+    if not 0 <= i <= top:
         raise ExponentOutOfRange(
             f"exponent {i} outside [0, {top}] for {ring!r}")
-    w, r = divmod(i, ps)
-    if w and not (w == 1 and ring.beta):
-        return ring.zero()
-    field, p, n = ring.field, ring.p, ring.n
-    mul, neg_a0 = field.mul, field.neg(ring.alpha0)
-    cs = [0] * ring.N
-    power = 1                   # (-alpha0)^(r - j)
-    for j in range(r, -1, -1):
-        cs[n * j] = mul(math.comb(r, j) % p, power)
-        power = mul(power, neg_a0)
-    if w:
-        cs = [ring.base.make(0, mul(ring.beta, c)) for c in cs]
-    return QPoly(ring, tuple(cs))
+
+    def make():
+        w, r = divmod(i, ps)
+        if w and not (w == 1 and ring.beta):
+            return ring.zero().coeffs
+        field, p, n = ring.field, ring.p, ring.n
+        mul, neg_a0 = field.mul, field.neg(ring.alpha0)
+        cs = [0] * ring.N
+        power = 1                   # (-alpha0)^(r - j)
+        for j in range(r, -1, -1):
+            cs[n * j] = mul(math.comb(r, j) % p, power)
+            power = mul(power, neg_a0)
+        if w:
+            cs = [ring.base.make(0, mul(ring.beta, c)) for c in cs]
+        return tuple(cs)
+    return QPoly(ring, ring.remember(("quotient.binomial_power", i), make))
 
 
 def coefficient_weight(f: QPoly) -> int:

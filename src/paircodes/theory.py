@@ -27,6 +27,7 @@ from .codes import (
     DEFAULT_BUDGET,
     CodeSpec,
     _log_size,
+    _remember_bases,
     _standard_exponents,
     all_code_specs,
     build_code,
@@ -278,12 +279,16 @@ def consistency_scan(ring: QuotientRing,
     and the scan goes on.  Codes over budget are counted, not checked.
     An entry whose distances disagree carries as ``witness`` the first
     codeword attaining the oracle's pair minimum, or its Hamming minimum
-    when only that disagrees.
+    when only that disagrees.  The codes in budget are built first, in
+    batches, and ``build_code`` then finds each one the ring remembers.
     """
     check_budget(budget)
     report = ScanReport()
-    for spec in all_code_specs(ring, rng=rng):
-        log_p_size = _log_size(ring, spec)      # admissible as enumerated
+    specs = all_code_specs(ring, rng=rng)
+    sizes = [_log_size(ring, spec) for spec in specs]   # admissible as listed
+    _remember_bases(ring, [spec for spec, log_p_size in zip(specs, sizes)
+                           if ring.p ** log_p_size <= budget])
+    for spec, log_p_size in zip(specs, sizes):
         if ring.p ** log_p_size > budget:
             report.skipped += 1
             continue

@@ -903,13 +903,13 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
     assert [g.coeffs for g in generators(ring, first)] == \
         [g.coeffs for g in generators(ring, second)]
     runs = []
-    real_basis, real_log_size = codes._standard_basis, codes._log_size
+    real_bases, real_log_size = codes._standard_bases, codes._log_size
 
-    def counting_basis(ring, spec, gens):
-        runs.append(gens)
-        return real_basis(ring, spec, gens)
+    def counting_bases(ring, todo):
+        runs.extend(gens for _, gens in todo)
+        return real_bases(ring, todo)
 
-    monkeypatch.setattr(codes, "_standard_basis", counting_basis)
+    monkeypatch.setattr(codes, "_standard_bases", counting_bases)
     rank = build_code(ring, first).dim_p
     monkeypatch.setattr(codes, "_log_size", lambda ring, spec:
                         real_log_size(ring, spec) + (spec == second))
@@ -964,6 +964,102 @@ def test_a_planted_standard_exponent_fails_the_build(monkeypatch, plant):
         for spec in all_code_specs(ring, rng=random.Random(2)):
             with pytest.raises(VerificationMismatch):
                 build_code(ring, spec)
+
+
+def _sweep_rings():
+    """Fresh copies of the rings of the benchmark's two sweeps."""
+    f2, f3, f5 = Field(2, 1), Field(3, 1), Field(5, 1)
+    return [QuotientRing(f2, 1, 3, 1, beta=0),
+            QuotientRing(f3, 1, 2, 1, beta=1), QuotientRing(f5, 2, 1, 2),
+            QuotientRing(f3, 2, 2, 2), QuotientRing(f2, 1, 4, 1, beta=0)]
+
+
+def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
+    # consistency_scan builds a ring's codes in batches, one per standard
+    # form and number of generators; every basis is the one build_code
+    # writes for its record alone, on a ring of its own.
+    one_ring = list(_grid_rings()) + _sweep_rings()
+    batch_ring = list(_grid_rings()) + _sweep_rings()
+    alone = [[build_code(ring, spec).basis
+              for spec in all_code_specs(ring, rng=random.Random(4))]
+             for ring in one_ring]
+    specs = [all_code_specs(ring, rng=random.Random(4)) for ring in batch_ring]
+    for ring, records in zip(batch_ring, specs):
+        codes._remember_bases(ring, records)
+
+    def refused(ring, todo):
+        if todo:
+            raise AssertionError("a basis was built after the batch")
+        return []
+
+    monkeypatch.setattr(codes, "_standard_bases", refused)
+    for ring, records in zip(batch_ring, specs):
+        codes._remember_bases(ring, records)    # the ring keeps them all
+    checked = 0
+    for ring, records, bases in zip(batch_ring, specs, alone):
+        for spec, want in zip(records, bases):
+            got = build_code(ring, spec).basis
+            label = (ring, spec_to_text(spec))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+            assert got.tobytes() == want.tobytes(), label
+            checked += 1
+    assert checked > 2500
+
+
+def test_a_fault_planted_in_a_batch_fails_exactly_its_entry(monkeypatch):
+    # One record's standard exponents, off by one, put it in a batch with
+    # records of that form.  Its proof fails and its entry alone; every
+    # other record of the batch is built, scanned and remembered.
+    clean = theory.consistency_scan(QuotientRing(F2, 1, 3, 1, beta=0),
+                                    rng=random.Random(3))
+    ring = QuotientRing(F2, 1, 3, 1, beta=0)
+    specs = all_code_specs(ring, rng=random.Random(3))
+    gens = {spec: tuple(g.coeffs for g in generators(ring, spec))
+            for spec in specs}
+
+    def form(spec, bump=0):
+        e0, e1 = codes._standard_exponents(ring, spec)
+        return e0, e1 + bump, len(gens[spec])
+
+    forms = {form(spec) for spec in specs}
+    bad = next(spec for spec in specs
+               if list(gens.values()).count(gens[spec]) == 1
+               and form(spec, 1) in forms)
+    real, batches = codes._standard_exponents, []
+
+    def planted(ring, spec):
+        e0, e1 = real(ring, spec)
+        return e0, e1 + (spec == bad)
+
+    real_bases, real_batch, builds = \
+        codes._standard_bases, codes._standard_batch, []
+
+    def recording_bases(ring, todo):
+        builds.append([spec for spec, _ in todo])
+        return real_bases(ring, todo)
+
+    def recording_batch(ring, e0, e1, specs, *pairs):
+        batches.append(specs)
+        return real_batch(ring, e0, e1, specs, *pairs)
+
+    monkeypatch.setattr(codes, "_standard_exponents", planted)
+    monkeypatch.setattr(codes, "_standard_bases", recording_bases)
+    monkeypatch.setattr(codes, "_standard_batch", recording_batch)
+    report = theory.consistency_scan(ring, rng=random.Random(3))
+    assert any(bad in batch and len(batch) > 1 for batch in batches)
+    # One batch for the ring, then build_code repeats the failed record
+    # alone: nothing else is built twice.
+    assert len(builds[0]) == len(set(gens.values())) and builds[1:] == [[bad]]
+    text = spec_to_text(bad)
+    assert [e.spec_text for e in report.mismatches] == [text]
+    assert report.mismatches[0].dim_p is None
+    assert report.skipped == clean.skipped == 0
+    assert len(report.entries) == len(clean.entries)
+    for got, want in zip(report.entries, clean.entries):
+        if got.spec_text != text:
+            assert got.to_dict() == want.to_dict()
+    kept = {key[1:] for key in ring._memo if key[0] == "codes.build_code"}
+    assert kept == set(gens.values()) - {gens[bad]}
 
 
 def test_build_code_runs_no_elimination(monkeypatch):

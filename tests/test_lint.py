@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import paircodes
@@ -152,13 +153,16 @@ def test_the_oracle_reads_only_the_basis():
 
 def test_the_reference_reads_no_classification():
     # build_code is held to ideal_code, so the reference shares only the
-    # digit layer with the build: neither ideal_code nor any codes.py name
-    # it reaches reads the classification or writes a standard form.
-    banned = {"build_code", "_standard_basis", "_standard_pair",
+    # digit layer with the build: neither ideal_code nor any name it reaches
+    # in codes.py or the digit layer's module reads the classification or
+    # writes a standard form.
+    banned = {"build_code", "_standard_bases", "_standard_batch",
+              "_multipliers", "_remember_bases", "_kept_basis",
               "_standard_exponents", "_log_size", "_pivot_inverse",
               "generators"}
     defs = {node.name: node
-            for node in ast.parse((SRC / "codes.py").read_text()).body
+            for module in ("codes.py", "_digits.py")
+            for node in ast.parse((SRC / module).read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     todo, seen, found = ["ideal_code"], set(), []
     while todo:
@@ -280,3 +284,39 @@ def test_the_oracle_names_every_accumulator():
                     k.arg != "dtype" for k in node.keywords):
                 found.append(f"{node.lineno}:{ast.unparse(node)}")
     assert found == []
+
+
+def test_every_memo_kind_is_documented():
+    # The first item of a remember((...), make) key names the kind of work
+    # a ring remembers.  Every kind in src is a row of README's "What a ring
+    # remembers" table, every row is a kind in src, and the count the
+    # section states is the number of rows.
+    kinds, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "remember"):
+                continue
+            key = node.args[0] if node.args else None
+            if isinstance(key, ast.Tuple) and key.elts and isinstance(
+                    key.elts[0], ast.Constant):
+                kinds.add(key.elts[0].value)
+            else:
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
+    assert found == []
+    section = (SRC.parents[1] / "README.md").read_text().split(
+        "**What a ring remembers.**", 1)[1]
+    stated = re.search(r"there are (\w+):", section).group(1)
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        table.append(line)
+    rows = [re.match(r"\| `([^`]+)` \|", line).group(1) for line in table[2:]]
+    numbers = ("zero one two three four five six seven eight nine ten "
+               "eleven twelve thirteen fourteen fifteen").split()
+    assert sorted(rows) == sorted(kinds)
+    assert numbers.index(stated) == len(rows)

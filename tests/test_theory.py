@@ -1,5 +1,6 @@
 import gc
 import random
+import types
 import weakref
 
 import pytest
@@ -457,17 +458,17 @@ def test_consistency_scan_builds_each_ideal_and_scans_each_code_once(
         if basis.shape[0]:
             bases.add(basis.tobytes())
     ideal_runs, kernel_runs = [], []
-    real_basis, real_scan = codes._standard_basis, pairmetric._scan
+    real_bases, real_scan = codes._standard_bases, pairmetric._scan
 
-    def counting_basis(ring, spec, gens):
-        ideal_runs.append(gens)
-        return real_basis(ring, spec, gens)
+    def counting_bases(ring, todo):
+        ideal_runs.extend(gens for _, gens in todo)
+        return real_bases(ring, todo)
 
     def counting_scan(code, budget):
         kernel_runs.append(budget)
         return real_scan(code, budget)
 
-    monkeypatch.setattr(codes, "_standard_basis", counting_basis)
+    monkeypatch.setattr(codes, "_standard_bases", counting_bases)
     monkeypatch.setattr(pairmetric, "_scan", counting_scan)
     report = consistency_scan(ring, rng=random.Random(7))
     assert report.ok and report.skipped == 0
@@ -493,6 +494,38 @@ def test_a_dropped_ring_is_freed():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_no_ring_memo_refers_back_to_a_ring():
+    # The rule on QuotientRing.remember: a value holds plain data, never
+    # anything that refers back to a ring, but for the field quotient
+    # itself.  Checked on everything a sweep-wide scan leaves behind, on
+    # the chain ring and on its field quotient.
+    ring = QuotientRing(Field(2, 1), 1, 4, 1, beta=0)
+    assert consistency_scan(ring, budget=1 << 10,
+                            rng=random.Random("31:0")).ok
+    rings = [ring, ring.field_quotient()]
+    found = []
+    for owner in rings:
+        for key, value in owner._memo.items():
+            if key == ("field_quotient",):
+                assert value is rings[1]
+                continue
+            seen, todo = set(), [value]
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen or isinstance(
+                        obj, (type, types.ModuleType)):
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, QuotientRing):
+                    found.append(key[0])
+                    break
+                todo += gc.get_referents(obj)
+    assert {key[0] for owner in rings for key in owner._memo} >= {
+        "codes.build_code", "codes._pivot_inverse", "quotient.binomial_power",
+        "_digits._Digits", "pairmetric.scan_minima", "codes.unit_inverse"}
+    assert found == []
 
 
 def test_every_ring_memo_goes_through_remember(monkeypatch):
@@ -523,8 +556,9 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
     assert first[0]["ok"] and made
     assert kinds == {"field_quotient", "codes.unit_kind",
                      "codes._poly_text_short", "codes.build_code",
-                     "codes.generators", "codes.unit_inverse", "codes._Digits",
-                     "codes._pivot_inverse", "pairmetric.scan_minima"}
+                     "codes.generators", "codes.unit_inverse", "_digits._Digits",
+                     "codes._pivot_inverse", "pairmetric.scan_minima",
+                     "quotient.binomial_power"}
     made.clear()
     assert sweep() == first
     assert made == []
