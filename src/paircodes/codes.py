@@ -463,9 +463,10 @@ def _check_columns(ring: QuotientRing) -> None:
             f"columns; this ring has {cols}")
 
 
-def _kept_basis(ring: QuotientRing, gens: list[QPoly], make) -> np.ndarray:
+def _kept_basis(ring: QuotientRing, gens: list[QPoly],
+                make=None) -> np.ndarray | None:
     """The basis the ring keeps for the generator tuple `gens`, made by
-    `make` when there is none yet."""
+    `make` when there is none yet (None with no `make`)."""
     return ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
                          make)
 
@@ -476,18 +477,12 @@ def _remember_bases(ring: QuotientRing, specs: Sequence[CodeSpec]) -> None:
     finds it.  A build whose proof fails is not kept: `build_code` repeats
     it alone and raises."""
     _check_columns(ring)
-
-    def unkept():
-        raise KeyError
     todo = {}
     for spec in specs:
         gens = generators(ring, spec)
         key = tuple(g.coeffs for g in gens)
-        if key not in todo:
-            try:
-                _kept_basis(ring, gens, unkept)
-            except KeyError:        # not kept, and `remember` stored nothing
-                todo[key] = spec, gens
+        if key not in todo and _kept_basis(ring, gens) is None:
+            todo[key] = spec, gens
     todo = list(todo.values())
     for (_, gens), basis in zip(todo, _standard_bases(ring, todo)):
         if not isinstance(basis, VerificationMismatch):

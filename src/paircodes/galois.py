@@ -129,8 +129,6 @@ def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]
 def _is_irreducible_poly(f: Sequence[int], p: int) -> bool:
     """Rabin's test for a monic polynomial over GF(p)."""
     m = len(f) - 1
-    if m < 1:
-        return False
     if m == 1:
         return True
     x = [0, 1]

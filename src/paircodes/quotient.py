@@ -59,13 +59,14 @@ class QuotientRing:
         self.alpha0 = alpha0
         self.alpha = field.pow(alpha0, p ** s)
         if beta is None:
-            self.beta = None
+            self.beta = self._fq = None
             self.base: CoefficientRing = field
             self.lam = self.alpha
         else:
             self.beta = field.check_element(beta)
             self.base = ChainRing(field)
             self.lam = self.base.make(self.alpha, self.beta)
+            self._fq = QuotientRing(field, n, s, alpha0)
         self._memo: dict[tuple, object] = {}
 
     @property
@@ -78,18 +79,17 @@ class QuotientRing:
 
     def field_quotient(self) -> "QuotientRing":
         """The companion quotient over the plain field (same n, s, alpha0)."""
-        if not self.is_chain:
-            return self
-        return self.remember(("field_quotient",), lambda: QuotientRing(
-            self.field, self.n, self.s, self.alpha0))
+        return self if self._fq is None else self._fq
 
-    def remember(self, key: tuple, make):
-        """``make()``, run once per key for as long as the ring lives; the
-        key's first item names the kind of work.  Values hold plain data that
-        never refers back to the ring, and `make` never returns None.
+    def remember(self, key: tuple, make=None):
+        """``make()``, run once per key for as long as the ring lives; with
+        no `make`, the kept value or None, and nothing is stored.  The key's
+        first item names the kind of work.  Values hold plain data that never
+        refers back to a ring, and `make` never returns None.  The companion
+        field quotient is no memo: a chain ring builds it with itself.
         """
         value = self._memo.get(key)
-        if value is None:
+        if value is None and make is not None:
             value = self._memo[key] = make()
         return value
 

@@ -541,16 +541,20 @@ def test_installed_script(capsys):
 
 
 def test_a_ring_over_the_column_ceiling_is_refused_before_any_work():
-    # N = 2^40 positions: refused before a generator is written down.  The
-    # child's address space is capped, so a build that did start would end
-    # in a MemoryError, not take the machine's memory.
+    # N = 2^40 positions: refused before a generator is written down.  A
+    # scan of GF(2), s = 11 has 2,049 records, under the record ceiling,
+    # and 2,048 columns, over the column ceiling: refused before its batch
+    # of builds.  The child's address space is capped, so a build that did
+    # start would end in a MemoryError, not take the machine's memory.
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
 
     ring = ["--p", "2", "--s", "40", "--n", "1", "--alpha0", "1",
             "--spec", "field-power:i=1"]
     for argv in (["build-code", *ring],
-                 ["distance", *ring, "--method", "brute"]):
+                 ["distance", *ring, "--method", "brute"],
+                 ["scan", "consistency", "--p", "2", "--s", "11", "--n", "1",
+                  "--alpha0", "1"]):
         proc = subprocess.run([sys.executable, "-m", "paircodes.cli", *argv],
                               capture_output=True, text=True, env=TREE_ENV,
                               preexec_fn=cap, timeout=60)

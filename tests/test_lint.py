@@ -320,3 +320,28 @@ def test_every_memo_kind_is_documented():
                "eleven twelve thirteen fourteen fifteen").split()
     assert sorted(rows) == sorted(kinds)
     assert numbers.index(stated) == len(rows)
+
+
+def test_a_rings_memory_is_touched_only_by_remember():
+    # QuotientRing.remember is the one way into a ring's memory: only it and
+    # __init__ name _memo.  Absence is read with remember(key), which stores
+    # nothing, never signalled by a make that raises KeyError.
+    found, inside = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "QuotientRing":
+                inside |= {id(node) for method in cls.body
+                           if isinstance(method, ast.FunctionDef)
+                           and method.name in ("__init__", "remember")
+                           for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_memo" \
+                    and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and "KeyError" in {n.id for n in ast.walk(node.type)
+                                       if isinstance(n, ast.Name)}:
+                found.append(f"{path.name}:{node.lineno}:except KeyError")
+    assert inside
+    assert found == []

@@ -479,28 +479,37 @@ def test_consistency_scan_builds_each_ideal_and_scans_each_code_once(
 def test_a_dropped_ring_is_freed():
     # The ring's memos hold plain data, never a code or a polynomial that
     # refers back to the ring, so dropping the ring frees it by reference
-    # counting alone, with no cycle for the collector to find.
+    # counting alone, with no cycle for the collector to find.  So are its
+    # companion field quotient and a field ring, which is its own companion
+    # and holds no reference to itself.
     gc.disable()
     try:
         ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
+        field_ring = QuotientRing(Field(2, 1), 1, 3, 1)
         report = consistency_scan(ring, budget=1 << 10,
                                   rng=random.Random(1))
+        field_report = consistency_scan(field_ring, budget=1 << 10,
+                                        rng=random.Random(1))
         code = build_code(ring, Type1(2))
         result = scan_minima(code)
-        ref = weakref.ref(ring)
+        refs = [weakref.ref(ring), weakref.ref(ring.field_quotient()),
+                weakref.ref(field_ring)]
         assert report.ok and {"codes.build_code", "pairmetric.scan_minima"} \
             <= {key[0] for key in ring._memo}
-        del ring, report, code, result
-        assert ref() is None
+        assert field_report.ok and field_ring.field_quotient() is field_ring
+        assert {"codes.build_code", "pairmetric.scan_minima"} \
+            <= {key[0] for key in field_ring._memo}
+        del ring, field_ring, report, field_report, code, result
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
 
 def test_no_ring_memo_refers_back_to_a_ring():
     # The rule on QuotientRing.remember: a value holds plain data, never
-    # anything that refers back to a ring, but for the field quotient
-    # itself.  Checked on everything a sweep-wide scan leaves behind, on
-    # the chain ring and on its field quotient.
+    # anything that refers back to a ring.  Checked on everything a
+    # sweep-wide scan leaves behind, on the chain ring and on its field
+    # quotient.
     ring = QuotientRing(Field(2, 1), 1, 4, 1, beta=0)
     assert consistency_scan(ring, budget=1 << 10,
                             rng=random.Random("31:0")).ok
@@ -508,9 +517,6 @@ def test_no_ring_memo_refers_back_to_a_ring():
     found = []
     for owner in rings:
         for key, value in owner._memo.items():
-            if key == ("field_quotient",):
-                assert value is rings[1]
-                continue
             seen, todo = set(), [value]
             while todo:
                 obj = todo.pop()
@@ -534,8 +540,10 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
     kinds, made = set(), []
     real_remember = QuotientRing.remember
 
-    def recording(self, key, make):
+    def recording(self, key, make=None):
         kinds.add(key[0])
+        if make is None:
+            return real_remember(self, key)
 
         def counted():
             made.append(key)
@@ -554,7 +562,7 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
 
     first = sweep()
     assert first[0]["ok"] and made
-    assert kinds == {"field_quotient", "codes.unit_kind",
+    assert kinds == {"codes.unit_kind",
                      "codes._poly_text_short", "codes.build_code",
                      "codes.generators", "codes.unit_inverse", "_digits._Digits",
                      "codes._pivot_inverse", "pairmetric.scan_minima",
