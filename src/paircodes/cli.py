@@ -28,6 +28,7 @@ import sys
 from . import __version__
 from .codes import (
     DEFAULT_BUDGET,
+    _form_log_size,
     _standard_exponents,
     build_code,
     check_budget,
@@ -42,11 +43,13 @@ from .galois import Field, irreducible_binomial_constants, parse_int
 from .pairmetric import min_distance_brute
 from .quotient import QuotientRing
 from .theory import (
+    _classify,
     consistency_scan,
-    mds_classify,
     min_pair_distance,
     min_pair_distance_field,
 )
+# mds_classify is looked up here by bench/spans.py.
+from .theory import mds_classify  # noqa: F401
 
 EXIT_OK = 0
 EXIT_REFUSED = 2
@@ -229,9 +232,13 @@ def cmd_distance(args, out) -> int:
 
 
 def cmd_scan_mds(args, out) -> int:
+    """One row per record: its text and its standard form's shared verdict
+    (`MdsVerdict.to_dict` of each record of `mds_classify`)."""
     ring = _ring_from(args)
-    verdicts = mds_classify(ring, rng=random.Random(args.seed))
-    _emit(_ring_config(ring), [v.to_dict() for v in verdicts], out)
+    rows = [{"spec": text, **verdicts[kind]}
+            for row, _, verdicts in _classify(ring, random.Random(args.seed))
+            for text, (_, kind, _) in zip(row.texts(), row.bs)]
+    _emit(_ring_config(ring), rows, out)
     return EXIT_OK
 
 
@@ -245,20 +252,24 @@ def cmd_scan_consistency(args, out) -> int:
 
 
 def _mds_rows(ring: QuotientRing, rng: random.Random) -> list[dict]:
+    """The nontrivial MDS codes of the ring, one row per generator text in
+    record order.  The records of one b kind of a key row share their
+    verdict and their generator text, so each kind is read once."""
     rows, seen = [], set()
-    for v in mds_classify(ring, rng=rng):
-        if not v.is_mds or v.trivial:
-            continue
-        gen = spec_generator_text(ring, v.spec)
-        if gen in seen:
-            continue
-        seen.add(gen)
-        rows.append({
-            "generator": gen,
-            "size": f"{ring.p}^{log_size(ring, v.spec)}",
-            "pair_distance": v.d_sp,
-            "remark": spec_to_text(v.spec).split(":")[0],
-        })
+    for row, forms, verdicts in _classify(ring, rng):
+        for kind, v in verdicts.items():
+            if not v["is_mds"] or v["trivial"]:
+                continue
+            gen = row.generator_text(ring, kind)
+            if gen in seen:
+                continue
+            seen.add(gen)
+            rows.append({
+                "generator": gen,
+                "size": f"{ring.p}^{_form_log_size(ring, *forms[kind])}",
+                "pair_distance": v["d_sp"],
+                "remark": row.prefix().split(":")[0],
+            })
     return rows
 
 

@@ -14,10 +14,12 @@ described by one of five parameter records:
 The families each kind of ring admits, and the range of every key, are
 written once, in the tables `_FIELD_CODES`, `_CHAIN_CODES` and
 `_BETA0_CODES`: `validate_spec` checks a record against them and
-`all_code_specs` enumerates them.  A Type2 or Type3 record refuses, when
-it is made, a b that is neither zero nor a unit of its field quotient.
-Each record's standard-form exponents, which fix its size and closed-form
-distances, are written once, in `_standard_exponents`.
+`_key_rows` enumerates them, one key row (one family, one set of integer
+keys, every b of the ring) at a time; `all_code_specs` lists the records
+of those rows.  A Type2 or Type3 record refuses, when it is made, a b that
+is neither zero nor a unit of its field quotient.  The standard-form
+exponents of a key row and b kind, which fix its records' size and
+closed-form distances, are written once, in `_key_row_exponents`.
 
 ``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
 echelon form, written straight from the standard form
@@ -35,7 +37,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -205,45 +207,94 @@ def validate_spec(ring: QuotientRing, spec: CodeSpec) -> None:
 def all_code_specs(ring: QuotientRing, *,
                    rng: random.Random | None = None) -> list[CodeSpec]:
     """Every admissible parameter record for the ring, in a fixed order:
-    the families and their keys as the ring's table lists them.
+    the records of each key row of `_key_rows`, b fastest.
 
     For the families with a free polynomial b, the zero choice is always
     included plus three random units drawn from `rng` (seeded
-    deterministically when omitted); b varies fastest.
+    deterministically when omitted).  A ring with more than `MAX_RECORDS`
+    records is refused (see `_key_rows`).
+    """
+    return [spec for row in _key_rows(ring, rng) for spec in row.records()]
 
-    A ring with more than `MAX_RECORDS` records is refused before a key
-    level over the ceiling is built.  A level has sum(hi - lo + 1) rows
-    over the rows of the level above it, four records each in a family
-    with b; no range is empty, so no level has fewer rows than the one
-    above it, and the count is exact.
+
+# The b choices of a family without b: one record, whose text is its prefix.
+_NO_B = ((None, None, ""),)
+
+
+class _KeyRow(NamedTuple):
+    """The records of one family with one set of integer keys, which differ
+    only in b: each record's text is one prefix plus its b text, and its
+    (e0, e1) is that of its b kind."""
+    family: type
+    keys: dict          # the integer keys by name
+    bs: tuple           # (b, kind, text) of each record; _NO_B without b
+    kinds: tuple        # the distinct b kinds of `bs`, in order
+
+    def records(self) -> list[CodeSpec]:
+        if self.bs is _NO_B:
+            return [self.family(**self.keys)]
+        return [self.family(**self.keys, b=b) for b, _, _ in self.bs]
+
+    def prefix(self) -> str:
+        """The records' text form up to the b value."""
+        return _FORMATS[self.family].format_map(self.keys)
+
+    def texts(self) -> list[str]:
+        prefix = self.prefix()
+        return [prefix + text for _, _, text in self.bs]
+
+    def exponents(self, ring: QuotientRing,
+                  kind: str | None) -> tuple[int, int]:
+        """(e0, e1) of the records whose b is of `kind`."""
+        return _key_row_exponents(ring, self.family, self.keys, kind)
+
+    def generator_text(self, ring: QuotientRing, kind: str | None) -> str:
+        """`spec_generator_text` of the records whose b is of `kind`."""
+        return _generator_text(ring, self.family, self.keys, kind)
+
+
+def _key_rows(ring: QuotientRing,
+              rng: random.Random | None = None) -> Iterator[_KeyRow]:
+    """Every key row of the ring's table, in a fixed order: the families
+    and their keys as the table lists them, the last key fastest.
+
+    The records of a family with b take the ring's b choices: zero, then
+    three random units drawn from `rng` (seeded with 0 when omitted), each
+    with its kind and its text, decided once per ring.  A ring with more than
+    `MAX_RECORDS` records is refused before a key level over the ceiling is
+    built.  A level has sum(hi - lo + 1) rows over the rows of the level
+    above it, four records each in a family with b; no range is empty, so
+    no level has fewer rows than the one above it, and the count is exact.
     """
     ps = ring.p ** ring.s
     bs = None
-    out: list[CodeSpec] = []
+    records = 0
     for family, ranges in _admitted(ring).items():
         per_row = 4 if "b" in _FIELDS[family] else 1     # b = 0, 3 units
         rows = [()]
         for _, bounds in ranges:     # nested loops, the last key fastest
             spans = [(row, bounds(ps, *row)) for row in rows]
             count = per_row * sum(hi - lo + 1 for _, (lo, hi) in spans)
-            if len(out) + count > MAX_RECORDS:
+            if records + count > MAX_RECORDS:
                 raise ConstructionRefused(
                     f"a ring is enumerated with at most {MAX_RECORDS} "
                     f"records; {ring!r} has more")
             rows = [row + (value,) for row, (lo, hi) in spans
                     for value in range(lo, hi + 1)]
-        keys = [key for key, _ in ranges]
-        for row in rows:
-            named = dict(zip(keys, row))
-            if per_row == 1:
-                out.append(family(**named))
-                continue
+        records += per_row * len(rows)
+        choices = _NO_B
+        if per_row > 1:
             if bs is None:
                 fq = ring.field_quotient()
                 rng = random.Random(0) if rng is None else rng
-                bs = [fq.zero()] + [random_unit(fq, rng) for _ in range(3)]
-            out += [family(**named, b=b) for b in bs]
-    return out
+                bs = [(fq.zero(), "zero")] + [
+                    (random_unit(fq, rng), "unit") for _ in range(3)]
+                bs = tuple((b, kind, _poly_text_short(b)) for b, kind in bs)
+            choices = bs
+        kinds = tuple(dict.fromkeys(kind for _, kind, _ in choices))
+        keys = [key for key, _ in ranges]
+        for row in rows:
+            yield _KeyRow(family, dict(zip(keys, row)), choices, kinds)
 
 
 def generators(ring: QuotientRing, spec: CodeSpec) -> list[QPoly]:
@@ -273,31 +324,50 @@ def log_size(ring: QuotientRing, spec: CodeSpec) -> int:
 
 def _log_size(ring: QuotientRing, spec: CodeSpec) -> int:
     """`log_size` of a spec already checked by `validate_spec`."""
-    e0, e1 = _standard_exponents(ring, spec)
+    return _form_log_size(ring, *_standard_exponents(ring, spec))
+
+
+def _form_log_size(ring: QuotientRing, e0: int, e1: int) -> int:
+    """log_p of the size of a code with the standard form (e0, e1)."""
     return ring.m * ring.n * (2 * ring.p ** ring.s - e0 - e1)
 
 
+def _b_kind(spec: CodeSpec) -> str | None:
+    """The kind of a record's b: None without b, else "zero" or "unit" (a
+    record refused any other b when it was made)."""
+    b = getattr(spec, "b", None)
+    return None if b is None else "zero" if b.is_zero() else "unit"
+
+
 def _standard_exponents(ring: QuotientRing, spec: CodeSpec) -> tuple[int, int]:
-    """(e0, e1) of a spec already checked by `validate_spec`: with
-    a = x^n - alpha0 the code is <a^e0 + u a^k c, u a^e1> (Norton and
-    Salagean, AAECC 10 (2000); Dinh, J. Algebra 324 (2010)), so it has
-    p^(m n (2p^s - e0 - e1)) words.  Its Hamming and pair distances are
-    those of its torsion code <a^e1> = {c : u c in C}: u times that code
-    lies in C, and a word c0 + u c1 of C with c0 != 0 has u c0 in C, whose
-    support lies inside its own.  A field code C counts as u C: (p^s, i).
+    """(e0, e1) of a spec already checked by `validate_spec`: those of its
+    key row and b kind."""
+    return _key_row_exponents(ring, type(spec), vars(spec), _b_kind(spec))
+
+
+def _key_row_exponents(ring: QuotientRing, family: type, keys,
+                       kind: str | None) -> tuple[int, int]:
+    """(e0, e1) of the records of `family` with the integer `keys` (by name)
+    whose b is of `kind`: with a = x^n - alpha0 the code is
+    <a^e0 + u a^k c, u a^e1> (Norton and Salagean, AAECC 10 (2000); Dinh,
+    J. Algebra 324 (2010)), so it has p^(m n (2p^s - e0 - e1)) words.  Its
+    Hamming and pair distances are those of its torsion code
+    <a^e1> = {c : u c in C}: u times that code lies in C, and a word
+    c0 + u c1 of C with c0 != 0 has u c0 in C, whose support lies inside
+    its own.  A field code C counts as u C: (p^s, i).
     """
     ps = ring.p ** ring.s
-    if isinstance(spec, FieldPower):
-        return ps, spec.i
-    if isinstance(spec, ChainPrincipal):
-        return min(spec.i, ps), max(spec.i - ps, 0)
-    if isinstance(spec, Type1):
-        return spec.k, spec.k
-    unit = not spec.b.is_zero()
-    if isinstance(spec, Type2):
-        return (spec.j, ps - spec.j + spec.k) if unit else (ps, spec.k)
-    return (spec.j, 2 * spec.k + spec.t - spec.j) if unit \
-        else (spec.k + spec.t, spec.k)
+    if family is FieldPower:
+        return ps, keys["i"]
+    if family is ChainPrincipal:
+        return min(keys["i"], ps), max(keys["i"] - ps, 0)
+    if family is Type1:
+        return keys["k"], keys["k"]
+    j, k, unit = keys["j"], keys["k"], kind == "unit"
+    if family is Type2:
+        return (j, ps - j + k) if unit else (ps, k)
+    t = keys["t"]
+    return (j, 2 * k + t - j) if unit else (k + t, k)
 
 
 # --- GF(p) linear algebra ---------------------------------------------------
@@ -711,9 +781,9 @@ def _unit_power(fq: QuotientRing, b: QPoly) -> tuple[int, ...]:
 
 # --- textual parameter records ------------------------------------------------
 
-# Each family's text form, e.g. "type2:j={0.j},k={0.k},b={b}".
+# Each family's text form up to its b value, e.g. "type2:j={j},k={k},b=".
 _FORMATS = {family: f"{head}:" + ",".join(
-                "b={b}" if key == "b" else f"{key}={{0.{key}}}"
+                "b=" if key == "b" else f"{key}={{{key}}}"
                 for key in _FIELDS[family])
             for head, family in _FAMILIES.items()}
 
@@ -729,7 +799,8 @@ def spec_to_text(spec: CodeSpec) -> str:
     if fmt is None:
         raise TypeError(f"not a code parameter record: {spec!r}")
     b = getattr(spec, "b", None)
-    return fmt.format(spec, b=None if b is None else _poly_text_short(b))
+    return fmt.format_map(vars(spec)) + (
+        "" if b is None else _poly_text_short(b))
 
 
 def _poly_text_short(f: QPoly) -> str:
@@ -782,6 +853,13 @@ def spec_from_text(text: str, ring: QuotientRing) -> CodeSpec:
 def spec_generator_text(ring: QuotientRing, spec: CodeSpec) -> str:
     """Human-readable generator description for tables."""
     validate_spec(ring, spec)
+    return _generator_text(ring, type(spec), vars(spec), _b_kind(spec))
+
+
+def _generator_text(ring: QuotientRing, family: type, keys,
+                    kind: str | None) -> str:
+    """The generator description of the records of `family` with the
+    integer `keys` (by name) whose b is of `kind`."""
     a0 = ring.field.format_coeff(ring.alpha0)
     g = f"x^{ring.n}-{a0}" if ring.n > 1 else f"x-{a0}"
 
@@ -790,12 +868,12 @@ def spec_generator_text(ring: QuotientRing, spec: CodeSpec) -> str:
             return "1"
         return f"({g})" if e == 1 else f"({g})^{e}"
 
-    if isinstance(spec, (FieldPower, ChainPrincipal)):
-        return pw(spec.i)
-    if isinstance(spec, Type1):
-        return pw(spec.k)
-    head = (f"u{pw(spec.k)}" if spec.b.is_zero()
-            else f"{pw(spec.j)}b + u{pw(spec.k)}")
-    if isinstance(spec, Type2):
+    if family in (FieldPower, ChainPrincipal):
+        return pw(keys["i"])
+    if family is Type1:
+        return pw(keys["k"])
+    head = (f"u{pw(keys['k'])}" if kind == "zero"
+            else f"{pw(keys['j'])}b + u{pw(keys['k'])}")
+    if family is Type2:
         return head
-    return f"<{head}, {pw(spec.k + spec.t)}>"
+    return f"<{head}, {pw(keys['k'] + keys['t'])}>"

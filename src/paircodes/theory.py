@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .codes import (
     DEFAULT_BUDGET,
     CodeSpec,
+    _form_log_size,
+    _key_rows,
     _log_size,
     _remember_bases,
     _standard_exponents,
@@ -173,41 +176,47 @@ def mds_verdict(ring: QuotientRing, spec: CodeSpec) -> MdsVerdict:
     and are flagged trivial.
     """
     validate_spec(ring, spec)
-    return _verdict(ring, spec)
+    return MdsVerdict(spec, **_verdict(ring, *_standard_exponents(ring, spec)))
 
 
-def _verdict(ring: QuotientRing, spec: CodeSpec) -> MdsVerdict:
-    """`mds_verdict` of a spec already checked by `validate_spec`."""
-    d_sp = min_pair_distance_field(ring.n, ring.p, ring.s,
-                                   _standard_exponents(ring, spec)[1])[0]
+def _verdict(ring: QuotientRing, e0: int, e1: int) -> dict:
+    """The numbers of `mds_verdict` for every code with the standard form
+    (e0, e1), by field name."""
+    d_sp = min_pair_distance_field(ring.n, ring.p, ring.s, e1)[0]
     alog = ring.base.gfp_dim
-    clog = _log_size(ring, spec)
+    clog = _form_log_size(ring, e0, e1)
     defect = (ring.N - d_sp + 2) * alog - clog
-    return MdsVerdict(spec=spec, d_sp=d_sp, singleton_defect=defect,
-                      is_mds=(defect == 0),
-                      trivial=clog in (0, ring.N * alog))
+    return {"d_sp": d_sp, "singleton_defect": defect, "is_mds": defect == 0,
+            "trivial": clog in (0, ring.N * alog)}
+
+
+def _classify(ring: QuotientRing,
+              rng: random.Random | None = None) -> Iterator[tuple]:
+    """(row, forms, verdicts) for each key row of the ring
+    (`codes._key_rows`): the standard form (e0, e1) and the `_verdict` of
+    the records of each b kind.  A verdict's numbers are a function of the
+    form alone, so they are computed once per distinct form and shared by
+    every record of that form."""
+    known: dict[tuple[int, int], dict] = {}
+    for row in _key_rows(ring, rng):
+        forms = {kind: row.exponents(ring, kind) for kind in row.kinds}
+        for form in forms.values():
+            if form not in known:
+                known[form] = _verdict(ring, *form)
+        yield row, forms, {kind: known[form] for kind, form in forms.items()}
 
 
 def mds_classify(ring: QuotientRing, *,
                  rng: random.Random | None = None) -> list[MdsVerdict]:
-    """Closed-form MDS verdict for every admissible code of the ring.
+    """Closed-form MDS verdict for every admissible code of the ring, in
+    the order of `all_code_specs`: the per-record view of `_classify`.
 
-    A verdict's numbers are a function of the standard form's (e0, e1)
-    alone (see `codes._standard_exponents`), so they are computed once per
-    distinct form and shared by every record of that form.  Nothing is
-    enumerated here; :func:`consistency_scan` checks the closed forms
-    against the exhaustive oracle.
+    Nothing is enumerated here; :func:`consistency_scan` checks the closed
+    forms against the exhaustive oracle.
     """
-    forms: dict[tuple[int, int], MdsVerdict] = {}
-    verdicts = []
-    for spec in all_code_specs(ring, rng=rng):
-        form = _standard_exponents(ring, spec)
-        v = forms.get(form)
-        if v is None:
-            v = forms[form] = _verdict(ring, spec)
-        verdicts.append(MdsVerdict(spec, v.d_sp, v.singleton_defect,
-                                   v.is_mds, v.trivial))
-    return verdicts
+    return [MdsVerdict(spec, **verdicts[kind])
+            for row, _, verdicts in _classify(ring, rng)
+            for spec, (_, kind, _) in zip(row.records(), row.bs)]
 
 
 @dataclass

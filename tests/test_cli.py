@@ -1,8 +1,11 @@
 import builtins
+import csv
+import hashlib
 import io
 import json
 import os
 import shutil
+import random
 import resource
 import subprocess
 import sys
@@ -11,9 +14,18 @@ from pathlib import Path
 import pytest
 
 import paircodes
-from paircodes import __version__, cli, galois
+from paircodes import __version__, cli, codes, galois
 from paircodes.cli import main
-from paircodes.theory import min_pair_distance_field
+from paircodes.codes import (
+    all_code_specs,
+    log_size,
+    spec_generator_text,
+    spec_to_text,
+)
+from paircodes.galois import Field
+from paircodes.quotient import QuotientRing
+from paircodes.theory import mds_classify, mds_verdict, min_pair_distance_field
+from test_codes import _grid_rings
 
 FIELD_RING = ["--p", "3", "--s", "1", "--n", "2", "--alpha0", "2"]
 CHAIN_B0 = ["--p", "3", "--s", "2", "--n", "1", "--alpha0", "1", "--beta", "0"]
@@ -580,3 +592,145 @@ def test_a_ring_over_the_record_ceiling_is_refused_before_any_work():
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == \
             "ConstructionRefused"
+
+
+# The heaviest ring the CLI benchmark tables: chain p=5, s=2, beta=0, with
+# 6,742 records in 1,705 key rows.
+HEAVY = ["--p", "5", "--s", "2", "--n", "1", "--alpha0", "1", "--beta", "0"]
+
+
+def _heavy_ring():
+    return QuotientRing(Field(5, 1), 1, 2, 1, beta=0)
+
+
+def _per_record_tables(ring, seed):
+    """The rows of `tables` by the per-record rule: every nontrivial MDS
+    verdict of mds_classify, the first of each generator text."""
+    rows, seen = [], set()
+    for v in mds_classify(ring, rng=random.Random(seed)):
+        if not v.is_mds or v.trivial:
+            continue
+        gen = spec_generator_text(ring, v.spec)
+        if gen in seen:
+            continue
+        seen.add(gen)
+        rows.append({"generator": gen,
+                     "size": f"{ring.p}^{log_size(ring, v.spec)}",
+                     "pair_distance": v.d_sp,
+                     "remark": spec_to_text(v.spec).split(":")[0]})
+    return rows
+
+
+def _ring_request(argv, capsys) -> str:
+    """stdout of a request on the ring `cli._ring_from` is patched to give;
+    the ring options are parsed and then ignored."""
+    code, out, err = run_cli([*argv, *FIELD_RING], capsys)
+    assert (code, err) == (0, ""), argv
+    return out
+
+
+def test_the_fast_rows_are_the_per_record_rows(monkeypatch, capsys):
+    # scan mds and tables classify a ring per key row; their rows must be
+    # those of each record's own verdict, for the unit b of a key row too.
+    tabled = 0
+    for ring in [*_grid_rings(), _heavy_ring()]:
+        monkeypatch.setattr(cli, "_ring_from", lambda args: ring)
+        for seed in (0, 1, 2):
+            def request(*argv):
+                return _ring_request([*argv, "--seed", str(seed)], capsys)
+
+            want = [mds_verdict(ring, spec).to_dict() for spec in
+                    all_code_specs(ring, rng=random.Random(seed))]
+            assert json.loads(request("scan", "mds"))["results"] == want, \
+                (ring, seed)
+            rows = _per_record_tables(ring, seed)
+            assert json.loads(request("tables", "--format", "json"))[
+                "results"] == rows, (ring, seed)
+            tabled += len(rows)
+            text = io.StringIO()
+            w = csv.DictWriter(text, fieldnames=["generator", "size",
+                                                 "pair_distance", "remark"])
+            w.writeheader()
+            w.writerows(rows)
+            assert request("tables", "--format", "csv") == text.getvalue()
+            assert request("tables", "--format", "md") == "".join(
+                ["| generator | size | pair distance | remark |\n",
+                 "|---|---|---|---|\n"] +
+                [f"| {r['generator']} | {r['size']} | {r['pair_distance']} "
+                 f"| {r['remark']} |\n" for r in rows])
+    assert tabled > 50
+
+
+def test_b_is_decided_once_per_ring_on_the_cli_path(monkeypatch, capsys):
+    # 6,742 records share the ring's four b: zero, which needs no decision,
+    # and three units drawn at random.  Each polynomial the draw looks at,
+    # the units and the draws it refuses, is decided once; no record
+    # decides its b again.
+    fq = _heavy_ring().field_quotient()
+    units = {spec.b.coeffs for spec in all_code_specs(
+        _heavy_ring(), rng=random.Random(7)) if hasattr(spec, "b")}
+    assert len(units) == 4              # zero and three units
+    kinds, folds = [], []
+    unit_kind, fold_kind = codes.unit_kind, codes._fold_kind
+
+    def counting_kind(fq, b):
+        kinds.append(b.coeffs)
+        return unit_kind(fq, b)
+
+    def counting_fold(fq, b):
+        folds.append(b.coeffs)
+        return fold_kind(fq, b)
+
+    monkeypatch.setattr(codes, "unit_kind", counting_kind)
+    monkeypatch.setattr(codes, "_fold_kind", counting_fold)
+    for argv in (["scan", "mds"], ["tables"]):
+        kinds.clear()
+        folds.clear()
+        assert run_cli([*argv, *HEAVY, "--seed", "7"], capsys)[0] == 0
+        assert len(folds) == len(kinds) == len(set(kinds)), argv
+        decided = {c: fold_kind(fq, fq.poly(c)) for c in kinds}
+        assert {c for c, kind in decided.items() if kind == "unit"} == \
+            units - {(0,) * fq.N}, argv
+        assert set(decided.values()) == {"unit", "neither"}, argv
+
+
+# sha256 of the heavy ring's outputs at --seed 7.  A change that means to
+# change them updates these and says why.
+HEAVY_PINS = {
+    ("scan", "mds"):
+        "9b7488c01c695222b0d829edb4b42c1b022b2878dc5210e3df2263208bea8c70",
+    ("tables", "--format", "md"):
+        "886e80b1f715feb88d123624c7738bdc5ddcae9f79b6a5603e25db244958ce83",
+    ("tables", "--format", "csv"):
+        "4fa56cdd12868cc2ea0f35954b91daf82f91ee0f1f0eaaa403e010381559e519",
+    ("tables", "--format", "json"):
+        "dc8c10a38d148fb9e211a8a749d5b5dba448d818e7c56b331640cbbc87af206b",
+}
+
+
+@pytest.mark.parametrize("argv", HEAVY_PINS, ids=" ".join)
+def test_the_heavy_rings_outputs_are_pinned(argv, capsys):
+    code, out, err = run_cli([*argv, *HEAVY, "--seed", "7"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HEAVY_PINS[argv]
+
+
+def test_a_ring_over_the_column_ceiling_is_refused_before_any_build(
+        monkeypatch, capsys):
+    # 2,048 GF(2) columns: scan consistency refuses the ring before its
+    # batched build, not after building its in-budget codes and refusing
+    # the first record's own build_code.
+    runs = []
+    standard_bases = codes._standard_bases
+
+    def counting(ring, todo):
+        runs.append(len(todo))
+        return standard_bases(ring, todo)
+
+    monkeypatch.setattr(codes, "_standard_bases", counting)
+    code, out, err = run_cli(["scan", "consistency", "--p", "2", "--s", "11",
+                              "--n", "1", "--alpha0", "1"], capsys)
+    assert (code, out, runs) == (2, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ConstructionRefused"
