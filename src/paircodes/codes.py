@@ -21,7 +21,7 @@ is neither zero nor a unit of its field quotient.  The standard-form
 exponents of a key row and b kind, which fix its records' size and
 closed-form distances, are written once, in `_key_row_exponents`.
 
-``build_code`` turns a record into an explicit GF(p)-basis in row-reduced
+``build_codes`` turns records into explicit GF(p)-bases in row-reduced
 echelon form, written straight from the standard form
 <a^e0 + u a^k c, u a^e1> with no elimination and then proved to span the
 ideal of the literal generators (see `_standard_bases`).  ``ideal_code``
@@ -497,31 +497,55 @@ def ideal_code(ring: QuotientRing,
 
 
 def build_code(ring: QuotientRing, spec: CodeSpec) -> ConstacyclicCode:
-    """Materialize the ideal described by `spec` as a row-reduced basis.
+    """Materialize the ideal described by `spec` as a row-reduced basis:
+    `build_codes` of one record, raising its VerificationMismatch."""
+    code, = build_codes(ring, [spec])
+    if isinstance(code, VerificationMismatch):
+        raise code
+    return code
+
+
+def build_codes(ring: QuotientRing, specs: Sequence[CodeSpec]) -> list:
+    """For each record of `specs`, its code as a row-reduced basis, or the
+    VerificationMismatch that fails it alone.
 
     A ring of more than `MAX_COLUMNS` GF(p) columns is refused before any
-    work.  Records with the same generator coefficients span the same
-    ideal, so the ring remembers the basis per generator tuple.  Every
-    record is still validated, and its rank is still checked against its
-    own classified size.  A basis not kept yet is written by the batched
-    kernel `_standard_bases` on a stack of one record; `consistency_scan`
-    runs it on all its records at once first (`_remember_bases`).
+    work.  Each record is validated and its generators computed once.
+    Records with the same generator coefficients span the same ideal, so
+    the ring remembers the basis per generator tuple; the first tuple it
+    does not keep has the batched kernel `_standard_bases` write it and
+    every later distinct tuple of `specs` in one call.  A tuple whose proof
+    fails is not kept.  Each record's rank is checked against its own
+    classified size.
     """
     _check_columns(ring)
-    gens = generators(ring, spec)
+    todo = [(spec, generators(ring, spec)) for spec in specs]
+    keys = [tuple(g.coeffs for g in gens) for _, gens in todo]
+    built: dict[tuple, object] = {}
 
-    def make():
-        basis, = _standard_bases(ring, [(spec, gens)])
+    def make(at: int):
+        if not built:
+            later: dict[tuple, tuple] = {}
+            for key, record in zip(keys[at:], todo[at:]):
+                later.setdefault(key, record)
+            built.update(zip(later, _standard_bases(ring, [*later.values()])))
+        basis = built[keys[at]]
         if isinstance(basis, VerificationMismatch):
             raise basis
         return basis
-    code = ConstacyclicCode(ring, _kept_basis(ring, gens, make))
-    want = _log_size(ring, spec)
-    if code.dim_p != want:
-        raise VerificationMismatch(
+    out = []
+    for at, (spec, _) in enumerate(todo):
+        try:
+            code = ConstacyclicCode(ring, ring.remember(
+                ("codes.build_code", *keys[at]), lambda: make(at)))
+        except VerificationMismatch as exc:
+            out.append(exc)
+            continue
+        want = _log_size(ring, spec)
+        out.append(code if code.dim_p == want else VerificationMismatch(
             f"rank {code.dim_p} != classified size exponent {want}",
-            rank=code.dim_p)
-    return code
+            rank=code.dim_p))
+    return out
 
 
 def _check_columns(ring: QuotientRing) -> None:
@@ -531,32 +555,6 @@ def _check_columns(ring: QuotientRing) -> None:
         raise ConstructionRefused(
             f"a code is built over at most {MAX_COLUMNS} GF({ring.p}) "
             f"columns; this ring has {cols}")
-
-
-def _kept_basis(ring: QuotientRing, gens: list[QPoly],
-                make=None) -> np.ndarray | None:
-    """The basis the ring keeps for the generator tuple `gens`, made by
-    `make` when there is none yet (None with no `make`)."""
-    return ring.remember(("codes.build_code", *(g.coeffs for g in gens)),
-                         make)
-
-
-def _remember_bases(ring: QuotientRing, specs: Sequence[CodeSpec]) -> None:
-    """Build in batches, and remember, the basis of every record in `specs`
-    whose generator tuple the ring does not keep yet, so that `build_code`
-    finds it.  A build whose proof fails is not kept: `build_code` repeats
-    it alone and raises."""
-    _check_columns(ring)
-    todo = {}
-    for spec in specs:
-        gens = generators(ring, spec)
-        key = tuple(g.coeffs for g in gens)
-        if key not in todo and _kept_basis(ring, gens) is None:
-            todo[key] = spec, gens
-    todo = list(todo.values())
-    for (_, gens), basis in zip(todo, _standard_bases(ring, todo)):
-        if not isinstance(basis, VerificationMismatch):
-            _kept_basis(ring, gens, lambda: basis)
 
 
 def _multipliers(ring: QuotientRing,

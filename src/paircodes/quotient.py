@@ -81,15 +81,15 @@ class QuotientRing:
         """The companion quotient over the plain field (same n, s, alpha0)."""
         return self if self._fq is None else self._fq
 
-    def remember(self, key: tuple, make=None):
-        """``make()``, run once per key for as long as the ring lives; with
-        no `make`, the kept value or None, and nothing is stored.  The key's
-        first item names the kind of work.  Values hold plain data that never
-        refers back to a ring, and `make` never returns None.  The companion
-        field quotient is no memo: a chain ring builds it with itself.
+    def remember(self, key: tuple, make):
+        """``make()``, run once per key for as long as the ring lives; the
+        key's first item names the kind of work.  Values hold plain data that
+        never refers back to a ring, and `make` never returns None.  The
+        companion field quotient is no memo: a chain ring builds it with
+        itself.
         """
         value = self._memo.get(key)
-        if value is None and make is not None:
+        if value is None:
             value = self._memo[key] = make()
         return value
 

@@ -985,7 +985,7 @@ def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
              for ring in one_ring]
     specs = [all_code_specs(ring, rng=random.Random(4)) for ring in batch_ring]
     for ring, records in zip(batch_ring, specs):
-        codes._remember_bases(ring, records)
+        codes.build_codes(ring, records)
 
     def refused(ring, todo):
         if todo:
@@ -994,7 +994,7 @@ def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(codes, "_standard_bases", refused)
     for ring, records in zip(batch_ring, specs):
-        codes._remember_bases(ring, records)    # the ring keeps them all
+        codes.build_codes(ring, records)    # the ring keeps them all
     checked = 0
     for ring, records, bases in zip(batch_ring, specs, alone):
         for spec, want in zip(records, bases):
@@ -1047,9 +1047,9 @@ def test_a_fault_planted_in_a_batch_fails_exactly_its_entry(monkeypatch):
     monkeypatch.setattr(codes, "_standard_batch", recording_batch)
     report = theory.consistency_scan(ring, rng=random.Random(3))
     assert any(bad in batch and len(batch) > 1 for batch in batches)
-    # One batch for the ring, then build_code repeats the failed record
-    # alone: nothing else is built twice.
-    assert len(builds[0]) == len(set(gens.values())) and builds[1:] == [[bad]]
+    # One batch for the ring, and the failed record is not built again
+    # alone: nothing is built twice.
+    assert len(builds[0]) == len(set(gens.values())) and builds[1:] == []
     text = spec_to_text(bad)
     assert [e.spec_text for e in report.mismatches] == [text]
     assert report.mismatches[0].dim_p is None

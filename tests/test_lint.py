@@ -157,7 +157,7 @@ def test_the_reference_reads_no_classification():
     # in codes.py or the digit layer's module reads the classification or
     # writes a standard form.
     banned = {"build_code", "_standard_bases", "_standard_batch",
-              "_multipliers", "_remember_bases", "_kept_basis",
+              "_multipliers", "build_codes",
               "_standard_exponents", "_log_size", "_pivot_inverse",
               "generators"}
     defs = {node.name: node
@@ -323,25 +323,34 @@ def test_every_memo_kind_is_documented():
 
 
 def test_a_rings_memory_is_touched_only_by_remember():
-    # QuotientRing.remember is the one way into a ring's memory: only it and
-    # __init__ name _memo.  Absence is read with remember(key), which stores
-    # nothing, never signalled by a make that raises KeyError.
-    found, inside = [], set()
+    # QuotientRing.remember(key, make) is the one way into a ring's memory:
+    # only it and __init__ name _memo.  It has one form: every call passes a
+    # key and a make, and make has no default, so no call reads the memory
+    # without filling it.  Absence is never signalled by a make that raises
+    # KeyError.
+    found, inside, signatures = [], set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and cls.name == "QuotientRing":
-                inside |= {id(node) for method in cls.body
-                           if isinstance(method, ast.FunctionDef)
-                           and method.name in ("__init__", "remember")
-                           for node in ast.walk(method)}
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and method.name \
+                            in ("__init__", "remember"):
+                        inside |= {id(node) for node in ast.walk(method)}
+                        if method.name == "remember":
+                            signatures.append(ast.unparse(method.args))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "_memo" \
                     and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr == "remember" \
+                    and len(node.args) + len(node.keywords) != 2:
                 found.append(f"{path.name}:{node.lineno}:{ast.unparse(node)}")
             elif isinstance(node, ast.ExceptHandler) and node.type is not None \
                     and "KeyError" in {n.id for n in ast.walk(node.type)
                                        if isinstance(n, ast.Name)}:
                 found.append(f"{path.name}:{node.lineno}:except KeyError")
     assert inside
+    assert signatures == ["self, key: tuple, make"]
     assert found == []

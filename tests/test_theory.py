@@ -13,6 +13,7 @@ from paircodes.codes import (
     Type2,
     Type3,
     build_code,
+    build_codes,
     generators,
     log_size,
     random_unit,
@@ -305,11 +306,11 @@ def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
     over = sum(build_code(ring, spec).size > budget for spec in specs)
     built = []
 
-    def counting_build_code(ring, spec):
-        built.append(spec)
-        return build_code(ring, spec)
+    def counting_build_codes(ring, specs):
+        built.extend(specs)
+        return build_codes(ring, specs)
 
-    monkeypatch.setattr(theory, "build_code", counting_build_code)
+    monkeypatch.setattr(theory, "build_codes", counting_build_codes)
     report = consistency_scan(ring, budget=budget, rng=random.Random(5))
     assert report.ok and report.skipped == over > 0
     assert len(built) == len(report.entries)
@@ -320,19 +321,20 @@ def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
     budget = 1 << 8
     specs, scans = {}, []
 
-    def recording_build(ring, spec):
-        code = build_code(ring, spec)
-        specs[id(code)] = spec
-        return code
+    def recording_build(ring, records):
+        built = build_codes(ring, records)
+        specs.update((id(code), spec) for code, spec in zip(built, records))
+        return built
 
     def counting_scan(code, budget):
         scans.append(specs[id(code)])
         return scan_minima(code, budget)
 
     # Every closed form is off by one, so every nonzero code mismatches.
-    monkeypatch.setattr(theory, "min_pair_distance",
-                        lambda ring, spec: min_pair_distance(ring, spec) + 1)
-    monkeypatch.setattr(theory, "build_code", recording_build)
+    monkeypatch.setattr(theory, "min_pair_distance_field",
+                        lambda n, p, s, i: (min_pair_distance_field(
+                            n, p, s, i)[0] + 1, "planted"))
+    monkeypatch.setattr(theory, "build_codes", recording_build)
     monkeypatch.setattr(theory, "scan_minima", counting_scan)
     monkeypatch.setattr(pairmetric, "scan_minima", counting_scan)
     report = consistency_scan(ring, budget=budget, rng=random.Random(3))
@@ -365,14 +367,14 @@ def test_rank_mismatch_is_one_failing_entry(monkeypatch):
     clean = consistency_scan(ring, budget=budget, rng=random.Random(3))
     assert clean.ok
     bad = clean.entries[len(clean.entries) // 2]
-    real_build_code = theory.build_code
+    real_build_codes = theory.build_codes
 
-    def failing_build_code(ring, spec):
-        if spec_to_text(spec) == bad.spec_text:
-            raise VerificationMismatch("planted rank mismatch", rank=99)
-        return real_build_code(ring, spec)
+    def failing_build_codes(ring, specs):
+        return [VerificationMismatch("planted rank mismatch", rank=99)
+                if spec_to_text(spec) == bad.spec_text else code
+                for spec, code in zip(specs, real_build_codes(ring, specs))]
 
-    monkeypatch.setattr(theory, "build_code", failing_build_code)
+    monkeypatch.setattr(theory, "build_codes", failing_build_codes)
     report = consistency_scan(ring, budget=budget, rng=random.Random(3))
     assert not report.ok and report.mismatches == [
         e for e in report.entries if e.spec_text == bad.spec_text]
@@ -540,10 +542,8 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
     kinds, made = set(), []
     real_remember = QuotientRing.remember
 
-    def recording(self, key, make=None):
+    def recording(self, key, make):
         kinds.add(key[0])
-        if make is None:
-            return real_remember(self, key)
 
         def counted():
             made.append(key)
@@ -570,3 +570,32 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
     made.clear()
     assert sweep() == first
     assert made == []
+
+
+def test_each_record_is_worked_on_once_per_scan(monkeypatch):
+    # A sweep-wide scan validates each in-budget record and computes its
+    # generators once, and builds the ring's missing bases in one kernel
+    # call; a second scan on the same ring builds nothing and reads the same.
+    calls = {"generators": 0, "validate_spec": 0, "_standard_bases": 0}
+    for name in calls:
+        real = getattr(codes, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(codes, name, counted)
+        if hasattr(theory, name):
+            monkeypatch.setattr(theory, name, counted)
+    ring = QuotientRing(Field(2, 1), 1, 4, 1, beta=0)
+
+    def scan():
+        return consistency_scan(ring, budget=1 << 10,
+                                rng=random.Random("31:0")).to_dict()
+
+    first = scan()
+    assert first["ok"] and first["checked"] == 310
+    assert calls["generators"] == 310 and calls["validate_spec"] <= 310
+    assert calls["_standard_bases"] == 1
+    calls["_standard_bases"] = 0
+    assert scan() == first
+    assert calls["_standard_bases"] == 0
