@@ -24,7 +24,9 @@ closed-form distances, are written once, in `_key_row_exponents`.
 ``build_codes`` turns records into explicit GF(p)-bases in row-reduced
 echelon form, written straight from the standard form
 <a^e0 + u a^k c, u a^e1> with no elimination and then proved to span the
-ideal of the literal generators (see `_standard_bases`).  ``ideal_code``
+ideal of the literal generators (see `_standard_bases`).  One call builds
+each distinct generator tuple of its list once, and keeps nothing on the
+ring; a ring keeps only facts of its algebra.  ``ideal_code``
 builds the same basis from arbitrary generators by one RREF; it is the
 reference the tests hold ``build_code`` to.  Codewords are laid out
 position-major: position t of a word occupies columns [t*d, (t+1)*d) where
@@ -512,35 +514,25 @@ def build_codes(ring: QuotientRing, specs: Sequence[CodeSpec]) -> list:
     A ring of more than `MAX_COLUMNS` GF(p) columns is refused before any
     work.  Each record is validated and its generators computed once.
     Records with the same generator coefficients span the same ideal, so
-    the ring remembers the basis per generator tuple; the first tuple it
-    does not keep has the batched kernel `_standard_bases` write it and
-    every later distinct tuple of `specs` in one call.  A tuple whose proof
-    fails is not kept.  Each record's rank is checked against its own
+    the batched kernel `_standard_bases` writes each distinct tuple of
+    `specs` once, all in one call, and every record of a tuple gets its
+    basis or its mismatch.  Each record's rank is checked against its own
     classified size.
     """
     _check_columns(ring)
     todo = [(spec, generators(ring, spec)) for spec in specs]
     keys = [tuple(g.coeffs for g in gens) for _, gens in todo]
-    built: dict[tuple, object] = {}
-
-    def make(at: int):
-        if not built:
-            later: dict[tuple, tuple] = {}
-            for key, record in zip(keys[at:], todo[at:]):
-                later.setdefault(key, record)
-            built.update(zip(later, _standard_bases(ring, [*later.values()])))
-        basis = built[keys[at]]
-        if isinstance(basis, VerificationMismatch):
-            raise basis
-        return basis
+    distinct: dict[tuple, tuple] = {}
+    for key, record in zip(keys, todo):
+        distinct.setdefault(key, record)
+    built = dict(zip(distinct, _standard_bases(ring, [*distinct.values()])))
     out = []
-    for at, (spec, _) in enumerate(todo):
-        try:
-            code = ConstacyclicCode(ring, ring.remember(
-                ("codes.build_code", *keys[at]), lambda: make(at)))
-        except VerificationMismatch as exc:
-            out.append(exc)
+    for key, (spec, _) in zip(keys, todo):
+        basis = built[key]
+        if isinstance(basis, VerificationMismatch):
+            out.append(basis)
             continue
+        code = ConstacyclicCode(ring, basis)
         want = _log_size(ring, spec)
         out.append(code if code.dim_p == want else VerificationMismatch(
             f"rank {code.dim_p} != classified size exponent {want}",
@@ -593,7 +585,7 @@ def _pivot_inverse(ring: QuotientRing, dig: _Digits, e: int) -> np.ndarray:
     a^(p^s - e), as their product x^N - alpha is constant below x^N; the
     inverse of a^0 = 1 is 1, not a^(p^s) = 0.  The ring keeps the matrix
     per e: it has ((N - n e) m)^2 entries, no more than the basis of a
-    code with that e, which the ring keeps too."""
+    code with that e."""
     def make():
         ps, m = ring.p ** ring.s, ring.m
         series = dig.of(binomial_power(ring.field_quotient(), (ps - e) % ps))

@@ -251,21 +251,15 @@ def scan_minima(code: ConstacyclicCode, budget: int = DEFAULT_BUDGET) -> dict:
 
     Returns the minima, the first counter attaining each, whether the
     prefix is every nonzero codeword, and its last counter.  The zero code
-    yields minima of None.
-
-    The result depends only on the basis and the budget, so the ring
-    remembers it per (basis, budget); every call gets a fresh dict.
+    yields minima of None.  The result depends only on the basis and the
+    budget; nothing is kept between calls.
     """
     check_budget(budget)
-    form = _Planes if code.ring.p == 2 else _Symbols
-    return dict(code.ring.remember(
-        ("pairmetric.scan_minima", code.basis.tobytes(), budget),
-        lambda: _scan(form(code), budget)))
+    return _scan((_Planes if code.ring.p == 2 else _Symbols)(code), budget)
 
 
 def _scan(form, budget: int) -> dict:
-    """`scan_minima` of a basis the ring has not scanned at this budget,
-    its words held in `form`."""
+    """`scan_minima` of the basis whose words `form` holds."""
     code, p = form.code, form.p
     dim, total = code.dim_p, code.size
     exhaustive = total <= budget

@@ -290,7 +290,8 @@ def consistency_scan(ring: QuotientRing,
     codeword attaining the oracle's pair minimum, or its Hamming minimum
     when only that disagrees.  Each record's standard form (e0, e1) is read
     once and gives its size and both closed forms; the codes in budget are
-    built by one ``build_codes`` call.
+    built by one ``build_codes`` call, and each distinct basis is scanned
+    once, its minima shared by every entry with that basis.
     """
     check_budget(budget)
     report = ScanReport()
@@ -301,6 +302,7 @@ def consistency_scan(ring: QuotientRing,
               if ring.p ** log_p_size <= budget]
     report.skipped = len(specs) - len(inside)
     built = build_codes(ring, [specs[at] for at in inside])
+    scans: dict[bytes, dict] = {}
     for at, code in zip(inside, built):
         e1 = forms[at][1]
         formula_pair = min_pair_distance_field(ring.n, ring.p, ring.s, e1)[0]
@@ -312,7 +314,10 @@ def consistency_scan(ring: QuotientRing,
             dim_p = oracle_pair = oracle_ham = 0
         else:
             dim_p = code.dim_p
-            res = scan_minima(code, budget)
+            key = code.basis.tobytes()
+            if key not in scans:
+                scans[key] = scan_minima(code, budget)
+            res = scans[key]
             oracle_pair, oracle_ham = res["min_pair"], res["min_hamming"]
             if oracle_pair != formula_pair:
                 witness = repr(code.word_at(res["pair_at"]))

@@ -139,8 +139,8 @@ def cell_grid() -> tuple:
     """(ring, [(spec text, cell)] of its codes within CELL_BUDGET) over the
     criterion-1 grid and CELL_RINGS, with both chain kinds wherever m = 1
     and N <= 6 and for CHAIN_RINGS.  The ring objects are built once, so
-    every scan of the grid after the first finds its codes and oracle
-    results remembered."""
+    every scan of the grid after the first finds their algebra (digit
+    tables, binomial powers, pivot inverses) remembered."""
     params = list(field_grid()) + [
         (p, m, s, n, irreducible_binomial_constants(Field(p, m), n)[0])
         for p, m, s, n in CELL_RINGS]

@@ -894,8 +894,8 @@ def test_the_sweeps_take_rng_by_keyword_only():
 
 def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
     # Type2 records with b = 0 differ only in j and share the generator u,
-    # so the second build reuses the ideal the first one built.  Each record
-    # is still validated, and its rank is still compared with its own
+    # so one build_codes call builds their ideal once.  Each record is
+    # still validated, and its rank is still compared with its own
     # classified size.
     ring = QuotientRing(F2, 1, 2, 1, beta=0)
     zero = ring.field_quotient().zero()
@@ -910,15 +910,16 @@ def test_a_remembered_ideal_still_checks_each_specs_rank(monkeypatch):
         return real_bases(ring, todo)
 
     monkeypatch.setattr(codes, "_standard_bases", counting_bases)
-    rank = build_code(ring, first).dim_p
     monkeypatch.setattr(codes, "_log_size", lambda ring, spec:
                         real_log_size(ring, spec) + (spec == second))
-    with pytest.raises(VerificationMismatch) as exc:
-        build_code(ring, second)
-    assert exc.value.rank == rank
+    code, mismatch = codes.build_codes(ring, [first, second])
+    assert len(runs) == 1
+    assert isinstance(code, ConstacyclicCode)
+    assert code.dim_p == real_log_size(ring, first)
+    assert isinstance(mismatch, VerificationMismatch)
+    assert mismatch.rank == code.dim_p
     with pytest.raises(ConstraintViolation):
-        build_code(ring, Type2(j=1, k=0, b=zero))
-    assert build_code(ring, first).dim_p == rank
+        codes.build_codes(ring, [first, Type2(j=1, k=0, b=zero)])
     assert len(runs) == 1
 
 
@@ -974,7 +975,7 @@ def _sweep_rings():
             QuotientRing(f3, 2, 2, 2), QuotientRing(f2, 1, 4, 1, beta=0)]
 
 
-def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
+def test_a_batched_build_is_the_build_one_at_a_time():
     # consistency_scan builds a ring's codes in batches, one per standard
     # form and number of generators; every basis is the one build_code
     # writes for its record alone, on a ring of its own.
@@ -983,22 +984,12 @@ def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
     alone = [[build_code(ring, spec).basis
               for spec in all_code_specs(ring, rng=random.Random(4))]
              for ring in one_ring]
-    specs = [all_code_specs(ring, rng=random.Random(4)) for ring in batch_ring]
-    for ring, records in zip(batch_ring, specs):
-        codes.build_codes(ring, records)
-
-    def refused(ring, todo):
-        if todo:
-            raise AssertionError("a basis was built after the batch")
-        return []
-
-    monkeypatch.setattr(codes, "_standard_bases", refused)
-    for ring, records in zip(batch_ring, specs):
-        codes.build_codes(ring, records)    # the ring keeps them all
     checked = 0
-    for ring, records, bases in zip(batch_ring, specs, alone):
-        for spec, want in zip(records, bases):
-            got = build_code(ring, spec).basis
+    for ring, bases in zip(batch_ring, alone):
+        records = all_code_specs(ring, rng=random.Random(4))
+        built = codes.build_codes(ring, records)
+        for spec, code, want in zip(records, built, bases, strict=True):
+            got = code.basis
             label = (ring, spec_to_text(spec))
             assert (got.dtype, got.shape) == (want.dtype, want.shape), label
             assert got.tobytes() == want.tobytes(), label
@@ -1009,7 +1000,7 @@ def test_a_batched_build_is_the_build_one_at_a_time(monkeypatch):
 def test_a_fault_planted_in_a_batch_fails_exactly_its_entry(monkeypatch):
     # One record's standard exponents, off by one, put it in a batch with
     # records of that form.  Its proof fails and its entry alone; every
-    # other record of the batch is built, scanned and remembered.
+    # other record of the batch is built and scanned.
     clean = theory.consistency_scan(QuotientRing(F2, 1, 3, 1, beta=0),
                                     rng=random.Random(3))
     ring = QuotientRing(F2, 1, 3, 1, beta=0)
@@ -1058,8 +1049,6 @@ def test_a_fault_planted_in_a_batch_fails_exactly_its_entry(monkeypatch):
     for got, want in zip(report.entries, clean.entries):
         if got.spec_text != text:
             assert got.to_dict() == want.to_dict()
-    kept = {key[1:] for key in ring._memo if key[0] == "codes.build_code"}
-    assert kept == set(gens.values()) - {gens[bad]}
 
 
 def test_build_code_runs_no_elimination(monkeypatch):

@@ -133,9 +133,11 @@ def test_only_codes_names_the_code_families():
 def test_the_oracle_reads_only_the_basis():
     # The oracle checks the closed forms, so it must not learn a code's
     # size or shape from them: nothing from theory, and none of the names
-    # that classify a code or enumerate the records.
+    # that classify a code or enumerate the records.  Nor does it keep
+    # state in the ring the formula side classifies with: it names no
+    # remember.
     classifying = {"_standard_exponents", "log_size", "_log_size",
-                   "generators", "all_code_specs"}
+                   "generators", "all_code_specs", "remember"}
     tree = ast.parse((SRC / "pairmetric.py").read_text())
     found = []
     for node in ast.walk(tree):
@@ -148,6 +150,36 @@ def test_the_oracle_reads_only_the_basis():
                  [node.attr] if isinstance(node, ast.Attribute) else [])
         found += [name for name in names
                   if name.split(".")[-1] in classifying | {"theory"}]
+    assert found == []
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is dead.  Exempt are
+    # `from __future__ import annotations`, the package's re-exports in
+    # __init__.py, and a name marked `# noqa: F401`, which must be one that
+    # bench/spans.py looks up in that module.
+    wrapped = {(module, attr) for module, attr, _ in load_spans().TARGETS}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        module = f"paircodes.{path.stem}"
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in used:
+                    continue
+                if "# noqa: F401" not in lines[alias.lineno - 1] \
+                        or (module, name) not in wrapped:
+                    found.append(f"{path.name}:{alias.lineno}:{name}")
     assert found == []
 
 

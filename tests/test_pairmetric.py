@@ -398,8 +398,7 @@ def test_scan_matches_reference_walk(ring, spec, monkeypatch):
 def test_the_oracle_reads_the_basis_mod_p(p):
     # A basis is any rows over GF(p); the kernel adds digits below p, so it
     # reduces the rows first.  Entries 2p above the digits make the same
-    # code, with the same minima.  Each code gets its own ring, so neither
-    # scan is the other's remembered one.
+    # code, with the same minima.
     code = build_code(QuotientRing(Field(p, 1), 1, 2, 1), FieldPower(2))
     shifted = ConstacyclicCode(QuotientRing(Field(p, 1), 1, 2, 1),
                                code.basis + 2 * p)
@@ -443,8 +442,8 @@ def test_bit_planes_scan_like_one_symbol_per_coordinate():
 
 
 def test_scan_minima_returns_a_fresh_dict_each_call():
-    # The ring remembers each scan; what a caller does with its result
-    # does not reach the next caller.
+    # What a caller does with a scan's result does not reach the next
+    # caller.
     ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
     code = build_code(ring, Type1(2))
     first = scan_minima(code, 1 << 10)
@@ -453,4 +452,4 @@ def test_scan_minima_returns_a_fresh_dict_each_call():
     first.clear()
     again = scan_minima(build_code(ring, Type1(2)), 1 << 10)
     assert again == want and again is not first
-    assert scan_minima(code, 1 << 3) != want     # the budget is in the key
+    assert scan_minima(code, 1 << 3) != want     # the budget bounds it

@@ -317,33 +317,33 @@ def test_consistency_scan_builds_only_codes_within_budget(monkeypatch):
 
 
 def test_mismatch_witness_comes_from_the_one_scan(monkeypatch):
+    # Entries that share a basis share its one scan, and each entry's
+    # witness is the one min_distance_brute finds for its own record.
     ring = QuotientRing(Field(2, 1), 1, 3, 1, beta=0)
     budget = 1 << 8
-    specs, scans = {}, []
-
-    def recording_build(ring, records):
-        built = build_codes(ring, records)
-        specs.update((id(code), spec) for code, spec in zip(built, records))
-        return built
+    scans = []
 
     def counting_scan(code, budget):
-        scans.append(specs[id(code)])
+        scans.append(code.basis.tobytes())
         return scan_minima(code, budget)
 
     # Every closed form is off by one, so every nonzero code mismatches.
     monkeypatch.setattr(theory, "min_pair_distance_field",
                         lambda n, p, s, i: (min_pair_distance_field(
                             n, p, s, i)[0] + 1, "planted"))
-    monkeypatch.setattr(theory, "build_codes", recording_build)
     monkeypatch.setattr(theory, "scan_minima", counting_scan)
     monkeypatch.setattr(pairmetric, "scan_minima", counting_scan)
     report = consistency_scan(ring, budget=budget, rng=random.Random(3))
     monkeypatch.undo()
     checked = [e for e in report.entries if e.dim_p]
-    assert checked and len(scans) == len(checked)
-    for spec, entry in zip(scans, checked):
+    built = [build_code(ring, spec_from_text(e.spec_text, ring))
+             for e in checked]
+    bases = {code.basis.tobytes() for code in built}
+    assert checked and sorted(scans) == sorted(bases)
+    assert len(scans) < len(checked)
+    for entry, code in zip(checked, built):
         assert not entry.ok
-        rep = min_distance_brute(build_code(ring, spec), budget)
+        rep = min_distance_brute(code, budget)
         assert entry.witness == repr(rep.witness)
 
 
@@ -496,11 +496,10 @@ def test_a_dropped_ring_is_freed():
         result = scan_minima(code)
         refs = [weakref.ref(ring), weakref.ref(ring.field_quotient()),
                 weakref.ref(field_ring)]
-        assert report.ok and {"codes.build_code", "pairmetric.scan_minima"} \
-            <= {key[0] for key in ring._memo}
+        kept = {"codes._pivot_inverse", "quotient.binomial_power"}
+        assert report.ok and kept <= {key[0] for key in ring._memo}
         assert field_report.ok and field_ring.field_quotient() is field_ring
-        assert {"codes.build_code", "pairmetric.scan_minima"} \
-            <= {key[0] for key in field_ring._memo}
+        assert kept <= {key[0] for key in field_ring._memo}
         del ring, field_ring, report, field_report, code, result
         assert [ref() for ref in refs] == [None, None, None]
     finally:
@@ -530,9 +529,10 @@ def test_no_ring_memo_refers_back_to_a_ring():
                     found.append(key[0])
                     break
                 todo += gc.get_referents(obj)
-    assert {key[0] for owner in rings for key in owner._memo} >= {
-        "codes.build_code", "codes._pivot_inverse", "quotient.binomial_power",
-        "_digits._Digits", "pairmetric.scan_minima", "codes.unit_inverse"}
+    assert {key[0] for owner in rings for key in owner._memo} == {
+        "codes.unit_kind", "codes.unit_inverse", "codes.generators",
+        "codes._poly_text_short", "quotient.binomial_power",
+        "_digits._Digits", "codes._pivot_inverse"}
     assert found == []
 
 
@@ -562,11 +562,10 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
 
     first = sweep()
     assert first[0]["ok"] and made
-    assert kinds == {"codes.unit_kind",
-                     "codes._poly_text_short", "codes.build_code",
-                     "codes.generators", "codes.unit_inverse", "_digits._Digits",
-                     "codes._pivot_inverse", "pairmetric.scan_minima",
-                     "quotient.binomial_power"}
+    assert kinds == {"codes.unit_kind", "codes.unit_inverse",
+                     "codes.generators", "codes._poly_text_short",
+                     "quotient.binomial_power", "_digits._Digits",
+                     "codes._pivot_inverse"}
     made.clear()
     assert sweep() == first
     assert made == []
@@ -574,8 +573,8 @@ def test_every_ring_memo_goes_through_remember(monkeypatch):
 
 def test_each_record_is_worked_on_once_per_scan(monkeypatch):
     # A sweep-wide scan validates each in-budget record and computes its
-    # generators once, and builds the ring's missing bases in one kernel
-    # call; a second scan on the same ring builds nothing and reads the same.
+    # generators once, and builds its bases in one kernel call; a second
+    # scan on the same ring does the same and reads the same.
     calls = {"generators": 0, "validate_spec": 0, "_standard_bases": 0}
     for name in calls:
         real = getattr(codes, name)
@@ -598,4 +597,4 @@ def test_each_record_is_worked_on_once_per_scan(monkeypatch):
     assert calls["_standard_bases"] == 1
     calls["_standard_bases"] = 0
     assert scan() == first
-    assert calls["_standard_bases"] == 0
+    assert calls["_standard_bases"] == 1
